@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race bench bench-json bench-diff fuzz examples \
 	reproduce fmt vet clean ci fmt-check fuzz-smoke bench-smoke chaos \
 	failover fabric-chaos rdma-chaos disk-chaos partition-chaos \
-	staticcheck cover nightly microbench
+	staticcheck cover nightly microbench perfbench-test
 
 all: build vet test
 
@@ -24,7 +24,7 @@ race:
 # gate set is enumerated — change both together:
 #
 #	build vet fmt-check  ↔ job "build"
-#	test                 ↔ job "test"
+#	test perfbench-test  ↔ job "test"
 #	race                 ↔ job "race"
 #	chaos                ↔ job "chaos"
 #	failover             ↔ job "failover"
@@ -39,8 +39,15 @@ race:
 #	                       numbers on a loaded dev box false-positive;
 #	                       run it explicitly before perf-sensitive PRs)
 #	nightly              ↔ .github/workflows/nightly.yml (scheduled)
-ci: build vet fmt-check test race chaos failover fabric-chaos rdma-chaos \
-	disk-chaos partition-chaos staticcheck cover fuzz-smoke bench-smoke
+ci: build vet fmt-check test perfbench-test race chaos failover fabric-chaos \
+	rdma-chaos disk-chaos partition-chaos staticcheck cover fuzz-smoke \
+	bench-smoke
+
+# The pipeline benchmark (perfbench/) is its own Go module — it imports
+# this one through a `replace omniwindow => ../` — so `./...` never
+# reaches it. Vet and test its helpers from inside the module.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Chaos suite: the full pipeline under seeded drop/dup/reorder/corruption
 # schedules, run with the race detector. Fixed seeds (1, 2, 3 in the test

@@ -62,12 +62,13 @@ func TestChaosNeverDoubleCountsProperty(t *testing.T) {
 }
 
 // TestChaosRDMAVerbErrors: injected RDMA completion errors must never
-// lose telemetry data — the failed verb's record falls back to the
-// packet path, so results match a fault-free RDMA run exactly.
+// lose telemetry data — the failed verb retries, and a record whose
+// retries run out falls back to the packet path, so results match a
+// fault-free RDMA run exactly.
 func TestChaosRDMAVerbErrors(t *testing.T) {
-	run := func(inj *faults.Injector) *Deployment {
+	run := func(rs *faults.RDMASchedule) *Deployment {
 		cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
-		cfg.AFRFaults = inj
+		cfg.RDMAFaults = rs
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,10 +81,9 @@ func TestChaosRDMAVerbErrors(t *testing.T) {
 		t.Fatal("baseline produced no windows")
 	}
 
-	for _, seed := range []int64{1, 2, 3} {
-		inj := faults.New(faults.Config{Seed: seed, VerbError: 0.3})
-		d := run(inj)
-		if inj.Stats().VerbErrors == 0 {
+	for _, seed := range []uint64{1, 2, 3} {
+		d := run(&faults.RDMASchedule{Seed: seed, VerbError: 0.3})
+		if d.rdma.Stats().VerbErrors == 0 {
 			t.Fatalf("seed %d: schedule injected no verb errors", seed)
 		}
 		if !reflect.DeepEqual(baseline.Results(), d.Results()) {

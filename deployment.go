@@ -148,27 +148,18 @@ func (d *Deployment) installProgram() {
 // packet is copied before entering the pipeline: the first-hop stamp this
 // deployment writes must not leak into the caller's trace (which may be
 // replayed through other deployments).
-func (d *Deployment) ProcessPacket(p *packet.Packet) {
-	if d.crashed {
-		return
-	}
-	d.now = p.Time
-	d.runDueCollections()
-	if d.crashed {
-		return
-	}
-	q := *p
-	out := d.sw.Inject(&q)
-	d.stats.Packets++
-	d.obs.packets.Inc()
-	d.handleSwitchOutput(out)
-}
+func (d *Deployment) ProcessPacket(p *packet.Packet) { d.process(p) }
 
 // ProcessAndForward feeds one packet through the deployment and returns
 // the packets leaving on egress — carrying this switch's sub-window stamp,
 // ready to be fed into a downstream deployment (the network-wide mode of
 // §5: the first hop stamps, later hops adopt).
-func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet {
+func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet { return d.process(p) }
+
+// process is the shared body of ProcessPacket and ProcessAndForward: run
+// the collections due by the packet's time, inject a copy of it, route
+// the switch's controller-bound output, and return its egress.
+func (d *Deployment) process(p *packet.Packet) []*packet.Packet {
 	if d.crashed {
 		return nil
 	}
@@ -400,16 +391,15 @@ func (d *Deployment) collect(sw uint64) {
 		}
 		virtual += time.Duration(len(spilled)) * costs.DPDKInjectPerKey
 
-		// Failover probe: the standby declares the primary dead only once
-		// its lease lapses (the wait is charged to the C&R budget), then
-		// promotes from the checkpoint it tailed at the previous boundary.
-		// Everything delivered for THIS sub-window above went to the dead
-		// primary and is gone; the re-sent trigger re-announces the key
-		// count, and the Phase-3 loop below NACKs the whole gap back from
-		// the still-unreset region — at most one sub-window of loss,
-		// fully NACK-recoverable.
+		// Crash probe: the standby declares the primary dead only once its
+		// lease lapses (the wait is charged to the C&R budget), then
+		// promotes from the checkpoint it last tailed. Everything
+		// delivered for THIS sub-window above went to the dead primary
+		// and is gone; the re-sent trigger re-announces the key count,
+		// and the Phase-3 loop below NACKs the whole gap back from the
+		// still-unreset region.
 		if d.standby != nil && !d.failedOver && d.cfg.Crash != nil && d.cfg.Crash.At(sw) {
-			virtual += d.failover(sw)
+			virtual += d.promote(sw, false)
 		}
 
 		// Partition probe: the standby's lease observation may declare the

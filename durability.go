@@ -299,55 +299,74 @@ func (d *Deployment) recover() error {
 	return nil
 }
 
-// failover promotes the hot standby after the primary's death is detected
-// mid-collection. The standby holds the last checkpoint it tailed — the
-// previous boundary — so its only gap is the in-flight sub-window, whose
-// switch state is still intact (the reset has not run). The deployment
-// re-sends the trigger, and the caller's ordinary Phase-3 NACK loop then
-// recovers the whole gap before the region resets. The returned duration
-// is the remaining lease time the standby had to wait out before
-// promoting (charged to the C&R virtual-time budget).
+// promote hands the primary's role to the hot standby at boundary sw —
+// the one takeover path, whether the primary died (crash schedule) or is
+// alive but cut off (partition probe: its lease read expired).
 //
-// A failover inside a degraded-durability stretch is the one live path
-// where gaps become damage: the standby's last tailed checkpoint predates
-// the stretch, and nothing durable covers the boundaries since — those
-// sub-windows are charged Missing on the promoted controller, so their
-// windows assemble Incomplete. The in-flight sub-window is excluded: its
-// switch state is recovered live by the re-sent trigger.
-func (d *Deployment) failover(sw uint64) time.Duration {
-	if d.degraded && d.standby != nil {
-		from := uint64(0)
-		if lf, ok := d.standby.LastFinished(); ok {
-			from = lf + 1
-		}
-		for s := from; s < sw; s++ {
-			d.standby.NoteLost(s, 1)
-		}
+//  1. Win the fencing term by CAS first. Against a live primary the fence
+//     is what makes the takeover safe: if the CAS write cannot land (dead
+//     or faulted disk), stay on the old primary and retry next boundary.
+//     A dead primary needs no fence, so its standby promotes regardless.
+//  2. A live primary makes its last writes — the boundary finish and
+//     checkpoint — under its now-stale term; both are rejected with
+//     ErrFenced, and observing that rejection it self-demotes: it stops
+//     emitting and parks until re-admission (readmitDemoted).
+//  3. Boundaries after the standby's last tailed checkpoint (partition
+//     cuts on the checkpoint channel, a degraded-durability stretch) hold
+//     records that live only in the lost primary: they are charged
+//     Missing on the standby, so every window spanning them assembles
+//     Incomplete instead of silently partial. The windows ENDING at those
+//     boundaries were already emitted by the old primary, so the standby
+//     re-finishes them and discards the outputs (SuppressedWindows):
+//     every (Start, End) window has exactly one finalizer across the run.
+//  4. Swap in the standby under the new term, re-register the RDMA region
+//     (the promoted controller owns fresh memory, so the AddressMAT must
+//     resolve to it), and re-announce the in-flight sub-window: its
+//     switch state is still unreset, so the caller's Phase-3 NACK loop
+//     recovers it whole.
+//
+// The returned duration is the virtual time charged to the C&R budget:
+// the lease time a crash's standby must wait out before declaring the
+// primary dead. A partition's standby promotes only after it already
+// observed the lease expired, so it waits for nothing.
+func (d *Deployment) promote(sw uint64, primaryAlive bool) time.Duration {
+	next, casErr := d.store.CASTerm(d.store.Term(), 2)
+	if casErr != nil && primaryAlive {
+		return 0
+	}
+	if primaryAlive {
+		fencedBefore := d.store.FencedWrites()
+		_ = d.store.AppendFinish(sw)
+		_ = d.store.Checkpoint(d.ctrl.ExportState())
+		d.demotedCtrl = d.ctrl
+		d.cleanSince = 0
+		d.stats.Demotions++
+		d.obs.ring.Record(obs.StageFenced, sw, -1, d.store.FencedWrites()-fencedBefore)
+	}
+
+	from := uint64(0)
+	if lf, ok := d.standby.LastFinished(); ok {
+		from = lf + 1
+	}
+	for s := from; s < sw; s++ {
+		d.standby.NoteLost(s, 1)
+		d.stats.SuppressedWindows += len(d.standby.FinishSubWindow(s))
+	}
+
+	var wait time.Duration
+	if !primaryAlive {
+		wait = time.Duration(d.lease.Remaining(d.now))
 	}
 	d.failedOver = true
 	d.stats.Failovers++
-	d.obs.ring.Record(obs.StageFailover, sw, -1, 0)
-	wait := time.Duration(d.lease.Remaining(d.now))
+	d.obs.ring.Record(obs.StageFailover, sw, -1, int64(next))
 	d.lease.Release()
 	d.ctrls[0] = d.standby
 	d.ctrl = d.standby
 	d.standby = nil
-	// The promoted standby acquires a fresh fencing term. The crashed
-	// primary will never write again, but uniformity matters: every
-	// promotion — crash or partition — advances the term, so the WAL's
-	// term sequence alone tells the full failover history.
-	if d.store != nil && !d.storeDead {
-		if next, err := d.store.CASTerm(d.store.Term(), 2); err == nil {
-			if d.store.AdoptTerm(next) == nil {
-				d.term = next
-			}
-		}
+	if casErr == nil && d.store.AdoptTerm(next) == nil {
+		d.term = next
 	}
-	// The promoted standby owns fresh memory: the RDMA transport must
-	// re-register its region and rebuild the switch-side AddressMAT so
-	// hot-key verbs resolve to the new controller's addresses. Verbs
-	// applied to the dead primary's region replay into the fresh one
-	// through the boundary recovery step that follows.
 	if d.rdma != nil {
 		d.rdma.Reregister()
 	}
@@ -392,81 +411,7 @@ func (d *Deployment) partitionProbe(sw uint64) time.Duration {
 	if !d.lease.Expired(d.collectAt + ps.Drift()) {
 		return 0
 	}
-	return d.partitionFailover(sw)
-}
-
-// partitionFailover promotes the standby over a live-but-partitioned
-// primary. Unlike crash failover, the old primary is still running; what
-// makes the takeover safe is fencing: the standby wins the term CAS
-// first, so every durable write the zombie attempts from then on is
-// rejected with ErrFenced, and observing that rejection the old primary
-// self-demotes — it stops emitting and parks until re-admission.
-//
-// Boundaries the standby's checkpoint tailing missed (cut channel,
-// degraded stretch) hold records that now live only in the unreachable
-// half: they are charged Missing on the promoted controller, so every
-// window spanning them assembles Incomplete instead of silently partial.
-// The windows ENDING at those boundaries were already emitted by the old
-// primary before it lost the term — legitimately, it held the lease then
-// — so the promoted controller re-finishes those boundaries and discards
-// the duplicate outputs (SuppressedWindows): every (Start, End) window
-// has exactly one finalizer across the whole run.
-func (d *Deployment) partitionFailover(sw uint64) time.Duration {
-	// Win the term first. If the CAS write itself cannot land (dead or
-	// faulted disk) there is no fence, and without a fence the takeover
-	// is not safe — stay on the old primary and retry next boundary.
-	next, err := d.store.CASTerm(d.store.Term(), 2)
-	if err != nil {
-		return 0
-	}
-
-	// The zombie's last writes: the partitioned primary, not yet aware it
-	// was deposed, attempts its boundary finish and checkpoint. Both are
-	// rejected under its stale term — the rejection is how it learns to
-	// self-demote.
-	fencedBefore := d.store.FencedWrites()
-	_ = d.store.AppendFinish(sw)
-	_ = d.store.Checkpoint(d.ctrl.ExportState())
-	fenced := d.store.FencedWrites() - fencedBefore
-	d.demotedCtrl = d.ctrl
-	d.cleanSince = 0
-	d.stats.Demotions++
-	d.obs.ring.Record(obs.StageFenced, sw, -1, fenced)
-
-	// Charge the un-handed-off boundaries [lastTailed+1, sw): Missing
-	// first, then the suppressed re-finish.
-	from := uint64(0)
-	if lf, ok := d.standby.LastFinished(); ok {
-		from = lf + 1
-	}
-	for s := from; s < sw; s++ {
-		d.standby.NoteLost(s, 1)
-		w := d.standby.FinishSubWindow(s)
-		d.stats.SuppressedWindows += len(w)
-	}
-
-	d.failedOver = true
-	d.stats.Failovers++
-	d.obs.ring.Record(obs.StageFailover, sw, -1, int64(next))
-	d.lease.Release()
-	d.ctrls[0] = d.standby
-	d.ctrl = d.standby
-	d.standby = nil
-	// The winner adopts the term it CASed: from here on its WAL frames,
-	// segments and checkpoints carry it, and the demoted node can never
-	// write under the old one again.
-	if err := d.store.AdoptTerm(next); err == nil {
-		d.term = next
-	}
-	if d.rdma != nil {
-		d.rdma.Reregister()
-	}
-	// Re-announce the in-flight sub-window: the Phase-3 NACK loop then
-	// recovers it from the still-unreset region, exactly as after a crash
-	// failover. No lease wait is charged — the standby promotes only
-	// after it already observed the lease expired.
-	d.sendTrigger(sw)
-	return 0
+	return d.promote(sw, true)
 }
 
 // readmitDemoted returns a demoted former primary to service as the new

@@ -105,28 +105,41 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	return f.base.ReadFile(name)
 }
 
-func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+// writeFault draws one write operation's fate — the single fault
+// cascade behind both WriteFile and segment appends. It returns the bytes
+// that reach the medium and the error to report once they have landed:
+// ENOSPC and EIO land nothing (nil land); a torn write lands a prefix and
+// reports EIO; bit rot lands a copy with one flipped byte and reports
+// success — only a CRC re-read can tell. The clean path returns p itself
+// and allocates nothing.
+func (f *FaultFS) writeFault(name string, p []byte) (land []byte, err error) {
 	op := f.next()
-	if f.sched.ENOSPCAt(op) {
-		return fmt.Errorf("write %s: %w", name, faults.ErrDiskENOSPC)
-	}
-	if f.sched.WriteEIOAt(op) {
-		return fmt.Errorf("write %s: %w", name, faults.ErrDiskEIO)
-	}
-	if f.sched.ShortWriteAt(op) && len(data) > 1 {
-		// The torn prefix lands; the failure is reported.
-		if err := f.base.WriteFile(name, data[:len(data)/2], perm); err != nil {
-			return err
-		}
-		return fmt.Errorf("write %s: torn: %w", name, faults.ErrDiskEIO)
-	}
-	if f.sched.BitRotAt(op) && len(data) > 0 {
-		idx, mask := f.sched.BitRotSpot(op, len(data))
-		rotted := append([]byte(nil), data...)
+	s := f.sched
+	switch {
+	case s.ENOSPCAt(op):
+		return nil, fmt.Errorf("write %s: %w", name, faults.ErrDiskENOSPC)
+	case s.WriteEIOAt(op):
+		return nil, fmt.Errorf("write %s: %w", name, faults.ErrDiskEIO)
+	case s.ShortWriteAt(op) && len(p) > 1:
+		return p[:len(p)/2], fmt.Errorf("write %s: torn: %w", name, faults.ErrDiskEIO)
+	case s.BitRotAt(op) && len(p) > 0:
+		idx, mask := s.BitRotSpot(op, len(p))
+		rotted := append([]byte(nil), p...)
 		rotted[idx] ^= mask
-		return f.base.WriteFile(name, rotted, perm)
+		return rotted, nil
 	}
-	return f.base.WriteFile(name, data, perm)
+	return p, nil
+}
+
+func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	land, ferr := f.writeFault(name, data)
+	if land == nil && ferr != nil {
+		return ferr
+	}
+	if err := f.base.WriteFile(name, land, perm); err != nil {
+		return err
+	}
+	return ferr
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
@@ -151,34 +164,15 @@ type faultFile struct {
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	op := w.fs.next()
-	sched := w.fs.sched
-	if sched.ENOSPCAt(op) {
-		return 0, fmt.Errorf("write %s: %w", w.name, faults.ErrDiskENOSPC)
+	land, ferr := w.fs.writeFault(w.name, p)
+	if land == nil && ferr != nil {
+		return 0, ferr
 	}
-	if sched.WriteEIOAt(op) {
-		return 0, fmt.Errorf("write %s: %w", w.name, faults.ErrDiskEIO)
+	n, err := w.f.Write(land)
+	if err == nil {
+		err = ferr
 	}
-	if sched.ShortWriteAt(op) && len(p) > 1 {
-		n, err := w.f.Write(p[:len(p)/2])
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("write %s: torn: %w", w.name, faults.ErrDiskEIO)
-	}
-	if sched.BitRotAt(op) && len(p) > 0 {
-		// The write "succeeds" but the medium stores one flipped byte —
-		// only a CRC re-read can tell. Allocation happens only on the
-		// fault path; the clean path below stays zero-alloc.
-		idx, mask := sched.BitRotSpot(op, len(p))
-		rotted := append([]byte(nil), p...)
-		rotted[idx] ^= mask
-		if _, err := w.f.Write(rotted); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	}
-	return w.f.Write(p)
+	return n, err
 }
 
 func (w *faultFile) Close() error { return w.f.Close() }

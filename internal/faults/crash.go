@@ -17,25 +17,16 @@ type CrashSchedule struct {
 	Fixed []uint64
 }
 
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed stateless
-// hash (the same construction seeds xoshiro generators).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // At reports whether the schedule crashes the controller at boundary sw.
-func (c CrashSchedule) At(sw uint64) bool {
+func (c CrashSchedule) At(sw uint64) bool { return c.at(0, sw) }
+
+// at is At with the probabilistic draw taken under salt, so a
+// CrashSchedule embedded in another schedule gets its own hash stream.
+func (c CrashSchedule) at(salt, sw uint64) bool {
 	for _, f := range c.Fixed {
 		if f == sw {
 			return true
 		}
 	}
-	if c.Prob <= 0 {
-		return false
-	}
-	h := splitmix64(c.Seed ^ splitmix64(sw))
-	return float64(h>>11)/float64(1<<53) < c.Prob
+	return draw(c.Seed, salt, sw, c.Prob)
 }

@@ -69,72 +69,38 @@ const (
 	saltPartGray  = 0x504152544752_04 // "PARTGR"
 )
 
-// prob maps a hash to [0, 1) exactly as CrashSchedule.At does.
-func (s *PartitionSchedule) prob(salt, sw uint64) float64 {
-	h := splitmix64(s.Seed ^ salt ^ splitmix64(sw))
-	return float64(h>>11) / float64(1<<53)
-}
-
 // symmetricAt reports a full cut at boundary sw — a sustained window, or
 // the per-boundary draw.
 func (s *PartitionSchedule) symmetricAt(sw uint64) bool {
 	for _, w := range s.Windows {
-		if w.Len > 0 && sw >= w.Start && sw < w.Start+w.Len {
+		if inSpan(sw, w.Start, w.Len) {
 			return true
 		}
 	}
-	if s.Symmetric <= 0 {
-		return false
-	}
-	return s.prob(saltPartSym, sw) < s.Symmetric
+	return draw(s.Seed, saltPartSym, sw, s.Symmetric)
 }
 
 // RenewCut reports whether the primary's lease renewal at boundary sw is
 // lost (symmetric cut, or the asymmetric renewal-only cut). Nil-safe.
 func (s *PartitionSchedule) RenewCut(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	if s.symmetricAt(sw) {
-		return true
-	}
-	if s.RenewOnly <= 0 {
-		return false
-	}
-	return s.prob(saltPartRenew, sw) < s.RenewOnly
+	return s != nil && (s.symmetricAt(sw) || draw(s.Seed, saltPartRenew, sw, s.RenewOnly))
 }
 
 // CkptCut reports whether the standby's checkpoint tailing at boundary sw
 // is lost (symmetric cut, or the asymmetric checkpoint-only cut).
 // Nil-safe.
 func (s *PartitionSchedule) CkptCut(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	if s.symmetricAt(sw) {
-		return true
-	}
-	if s.CkptOnly <= 0 {
-		return false
-	}
-	return s.prob(saltPartCkpt, sw) < s.CkptOnly
+	return s != nil && (s.symmetricAt(sw) || draw(s.Seed, saltPartCkpt, sw, s.CkptOnly))
 }
 
 // GrayAt reports whether the renewal at boundary sw is delayed rather
 // than lost, and by how much virtual time. A boundary that is already cut
 // (RenewCut) is not also gray — loss dominates slowness. Nil-safe.
 func (s *PartitionSchedule) GrayAt(sw uint64) (bool, int64) {
-	if s == nil || s.Gray <= 0 || s.RenewCut(sw) {
+	if s == nil || s.Gray <= 0 || s.RenewCut(sw) || !draw(s.Seed, saltPartGray, sw, s.Gray) {
 		return false, 0
 	}
-	if s.prob(saltPartGray, sw) >= s.Gray {
-		return false, 0
-	}
-	d := s.DelayNs
-	if d <= 0 {
-		d = 1_000_000 // 1ms
-	}
-	return true, d
+	return true, orMillisecond(s.DelayNs)
 }
 
 // Any reports whether any partition fault is active at boundary sw — the

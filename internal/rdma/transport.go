@@ -76,12 +76,10 @@ type TransportConfig struct {
 	// is permanently lost (charged to OnShed). 0 means the default
 	// (8192).
 	ReplayDepth int
-	// Faults is the deterministic fault schedule (nil = healthy).
+	// Faults is the deterministic fault schedule (nil = healthy) — the
+	// transport's only source of injected verb, PSN, QP and region
+	// faults.
 	Faults *faults.RDMASchedule
-	// Injector is the legacy per-verb completion-error hook (e.g. a
-	// seeded faults.Injector's Verb method); consulted on every attempt
-	// in addition to Faults.
-	Injector func(op string, addr int) error
 	// OnShed is charged whenever the transport irrecoverably drops
 	// records destined for a sub-window (overflow, eviction,
 	// invalidation). Nil ignores the charge.
@@ -150,9 +148,8 @@ type Transport struct {
 	replayDepth int
 	retryWait   time.Duration
 
-	faults   *faults.RDMASchedule
-	injector func(op string, addr int) error
-	onShed   func(sw uint64, n int)
+	faults *faults.RDMASchedule
+	onShed func(sw uint64, n int)
 
 	stats TransportStats
 }
@@ -168,7 +165,6 @@ func NewTransport(cfg TransportConfig) *Transport {
 		hotSeq:      make(map[packet.FlowKey]uint32),
 		unprotected: make(map[uint64]int),
 		faults:      cfg.Faults,
-		injector:    cfg.Injector,
 		onShed:      cfg.OnShed,
 	}
 	switch {
@@ -270,18 +266,6 @@ func (t *Transport) HotRows() int {
 	return len(t.rows)
 }
 
-// verbFault draws one attempt's completion-error fate from the schedule
-// and the legacy injector hook. Caller holds t.mu.
-func (t *Transport) verbFault(op string, addr int, idx uint64, attempt int) bool {
-	if t.faults.VerbErrorAt(idx, attempt) {
-		return true
-	}
-	if t.injector != nil && t.injector(op, addr) != nil {
-		return true
-	}
-	return false
-}
-
 // track enrolls one sent verb in the PSN replay window, evicting the
 // oldest entry when the window is full. Caller holds t.mu.
 func (t *Transport) track(rec packet.AFR, hot bool, idx uint64, attempt int, applied bool) {
@@ -319,11 +303,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 		return false, false
 	}
 	base, isHot := t.rows[rec.Key]
-	op, addr := "append", -1
-	if isHot {
-		op = "write"
-		addr = base + int(rec.SubWindow)%t.mr.Lanes()
-	}
+	addr := base + int(rec.SubWindow)%t.mr.Lanes() // the hot row's lane; unused by cold appends
 	idx := t.verbIdx
 	t.verbIdx++
 	backoff := t.rnrBackoff
@@ -338,7 +318,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 				backoff = maxBackoff
 			}
 		}
-		if t.verbFault(op, addr, idx, a) {
+		if t.faults.VerbErrorAt(idx, a) {
 			t.stats.VerbErrors++
 			continue
 		}
@@ -355,20 +335,14 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 				continue
 			}
 			t.hotSeq[rec.Key] = rec.Seq
-		} else {
-			if err := t.nic.Append(rec); err != nil {
-				if err == ErrBufferFull {
-					// Cold-buffer overflow: the record never lands in
-					// the region. Charge shed accounting and hand it
-					// back for the packet path.
-					t.stats.Overflows++
-					t.stats.Fallbacks++
-					t.shed(rec.SubWindow, 1)
-					return false, false
-				}
-				t.stats.VerbErrors++
-				continue
-			}
+		} else if t.nic.Append(rec) != nil {
+			// Cold-buffer overflow: the record never lands in the
+			// region. Charge shed accounting and hand it back for the
+			// packet path.
+			t.stats.Overflows++
+			t.stats.Fallbacks++
+			t.shed(rec.SubWindow, 1)
+			return false, false
 		}
 		t.track(rec, isHot, idx, a, true)
 		return isHot, true
@@ -499,12 +473,7 @@ func (t *Transport) Replay(psns []uint32) int {
 				continue
 			}
 			e.attempts++
-			op, addr := "append", -1
-			if e.hot {
-				addr = t.rows[e.rec.Key] + int(e.rec.SubWindow)%t.mr.Lanes()
-				op = "write"
-			}
-			if t.verbFault(op, addr, e.idx, e.attempts) {
+			if t.faults.VerbErrorAt(e.idx, e.attempts) {
 				t.stats.VerbErrors++
 				break
 			}
@@ -513,6 +482,7 @@ func (t *Transport) Replay(psns []uint32) int {
 				break
 			}
 			if e.hot {
+				addr := t.rows[e.rec.Key] + int(e.rec.SubWindow)%t.mr.Lanes()
 				if t.nic.Write(addr, e.rec.Attr) != nil {
 					t.stats.VerbErrors++
 					break

@@ -104,6 +104,34 @@ func TestTransportRetriesExhaustFaultQP(t *testing.T) {
 	}
 }
 
+// TestTransportFailedVerbNeverLands: a verb whose every attempt completes
+// with a CQ error has no effect on the memory region — neither the hot
+// row it targeted nor the cold buffer — and is not counted as a completed
+// verb; the record leaves through the packet-path fallback instead.
+func TestTransportFailedVerbNeverLands(t *testing.T) {
+	for _, hot := range []bool{true, false} {
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 16,
+			VerbRetries: 2, Faults: &faults.RDMASchedule{VerbError: 1.0}})
+		if hot && !tr.Promote(fk(1)) {
+			t.Fatal("promote failed")
+		}
+		if _, delivered := tr.Send(seqRec(1, 0, 1, 7)); delivered {
+			t.Fatalf("hot=%v: always-failing verb was delivered", hot)
+		}
+		for addr, v := range tr.mr.slots {
+			if v != 0 {
+				t.Fatalf("hot=%v: failed verb wrote slot %d = %d", hot, addr, v)
+			}
+		}
+		if len(tr.mr.buffer) != 0 {
+			t.Fatalf("hot=%v: failed verb appended to the cold buffer", hot)
+		}
+		if n := tr.nic; n.Writes != 0 || n.FetchAdds != 0 || n.Appends != 0 {
+			t.Fatalf("hot=%v: failed verb counted as completed: %+v", hot, *n)
+		}
+	}
+}
+
 // TestTransportRNRRetryRecovers: a transiently failing verb succeeds on a
 // later attempt without surfacing to the caller.
 func TestTransportRNRRetryRecovers(t *testing.T) {

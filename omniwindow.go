@@ -128,10 +128,10 @@ type Config struct {
 	// AFRFaults optionally pushes every controller-bound AFR packet —
 	// first transmissions and retransmissions alike — through a seeded
 	// fault schedule (drop/duplicate; the in-process path carries
-	// structs, not bytes, so truncation/corruption do not apply). With
-	// RDMA enabled the same injector also supplies verb completion
-	// errors. Chaos-testing use: it turns the deployment's lossless
-	// internal wire into an adversarial one.
+	// structs, not bytes, so truncation/corruption do not apply). RDMA
+	// verb faults come from RDMAFaults, not from this injector.
+	// Chaos-testing use: it turns the deployment's lossless internal
+	// wire into an adversarial one.
 	AFRFaults *faults.Injector
 
 	// CheckpointDir enables controller durability: at sub-window
@@ -354,9 +354,10 @@ type Stats struct {
 	// cut checkpoint tailing).
 	PartitionEvents int
 	// SuppressedWindows counts window emissions the promoted standby
-	// discarded because the fenced old primary had already legitimately
-	// emitted them before losing its term — the duplicate-finalizer
-	// guard: every (Start, End) window has exactly one emitter.
+	// discarded because the old primary — fenced, or crashed — had
+	// already legitimately emitted them before the takeover — the
+	// duplicate-finalizer guard: every (Start, End) window has exactly
+	// one emitter.
 	SuppressedWindows int
 	// ReplayedWindows counts windows re-emitted by WAL replay during
 	// recovery, included in Results in their original positions.
@@ -682,10 +683,6 @@ func New(cfg Config) (*Deployment, error) {
 	d.ctrl = d.ctrls[0]
 
 	if cfg.RDMA {
-		var injector func(op string, addr int) error
-		if cfg.AFRFaults != nil {
-			injector = cfg.AFRFaults.Verb
-		}
 		d.rdma = rdma.NewTransport(rdma.TransportConfig{
 			Rows:        cfg.AddressMATSize,
 			Lanes:       cfg.Plan.Size,
@@ -693,7 +690,6 @@ func New(cfg Config) (*Deployment, error) {
 			VerbRetries: cfg.RDMAVerbRetries,
 			ReplayDepth: cfg.RDMAReplayDepth,
 			Faults:      cfg.RDMAFaults,
-			Injector:    injector,
 			// The closure reads d.ctrl at charge time, so shed notes
 			// follow a failover to the promoted standby.
 			OnShed: func(sw uint64, n int) { d.noteRDMAShed(sw, n) },

@@ -420,3 +420,76 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 		last = r.Term
 	}
 }
+
+// TestPartitionChaosCrashComposed: a primary crash composed with a stale
+// standby. Checkpoint-channel cuts and a degraded-disk stretch each leave
+// the standby's last tailed checkpoint behind the primary; a crash then
+// promotes it with boundaries it never saw. Those boundaries must be
+// charged Missing and their already-emitted windows suppressed on the
+// promoted controller, exactly as a partition takeover does: every span
+// is finalized once, and every window is byte-identical to the fault-free
+// run or explicitly Incomplete.
+func TestPartitionChaosCrashComposed(t *testing.T) {
+	const n = 8
+	baseline := partitionBaseline(t, n)
+
+	type composed struct {
+		name  string
+		ps    *faults.PartitionSchedule
+		crash *faults.CrashSchedule
+		disk  *faults.DiskSchedule
+	}
+	var cases []composed
+	for _, at := range []uint64{3, 4, 5} {
+		cases = append(cases, composed{
+			name:  fmt.Sprintf("ckpt-cut/crash%d", at),
+			ps:    &faults.PartitionSchedule{CkptOnly: 1},
+			crash: &faults.CrashSchedule{Fixed: []uint64{at}},
+		})
+	}
+	seeds := []uint64{1, 2, 3, 4, 5, 6}
+	// Nightly sweep: OMNIWINDOW_EXTRA_SEEDS widens the fixed table.
+	seeds = append(seeds, faults.ExtraSeeds(7)...)
+	for _, s := range seeds {
+		cases = append(cases, composed{
+			name:  fmt.Sprintf("seeded/seed%d", s),
+			ps:    &faults.PartitionSchedule{Seed: s, CkptOnly: 0.5},
+			crash: &faults.CrashSchedule{Seed: s, Prob: 0.3},
+		})
+	}
+	for _, at := range []uint64{4, 5, 6} {
+		cases = append(cases, composed{
+			name:  fmt.Sprintf("degraded-disk/crash%d", at),
+			crash: &faults.CrashSchedule{Fixed: []uint64{at}},
+			disk:  &faults.DiskSchedule{ENOSPCStart: 40, ENOSPCLen: 1 << 40},
+		})
+	}
+
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cfg := partitionConfig(t.TempDir(), c.ps)
+			cfg.Crash = c.crash
+			cfg.DiskFaults = c.disk
+			d := runPartition(t, cfg, n)
+			if _, crashed := d.Crashed(); crashed {
+				t.Fatal("deployment halted despite the hot standby")
+			}
+			if c.disk != nil && d.Stats().DurabilityGaps == 0 {
+				t.Fatal("scenario needs the crash inside a degraded-disk stretch")
+			}
+			crashes := false
+			for sw := uint64(0); sw < n; sw++ {
+				crashes = crashes || c.crash.At(sw)
+			}
+			if crashes && d.Stats().Failovers < 1 {
+				t.Fatal("the schedule crashes the primary but the standby never promoted")
+			}
+			assertSingleFinalizer(t, d.Results())
+			assertIdenticalOrIncomplete(t, baseline.Results(), d.Results())
+			if err := d.CloseDurability(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
