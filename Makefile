@@ -130,13 +130,15 @@ cover:
 	fi; \
 	echo "coverage $$total% meets the $(COVER_THRESHOLD)% gate"
 
-# Short fuzz and bench runs that surface parser/perf regressions in PRs.
+# Short fuzz and bench runs that surface parser/hash/perf regressions in
+# PRs.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz 'FuzzKey64$$' -fuzztime 10s ./internal/hashing/
 
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkController -benchtime 1x .
@@ -184,8 +186,10 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz 'FuzzKey64$$' -fuzztime 30s ./internal/hashing/
 
-# Nightly depth: long fuzz runs on every wire decoder plus the chaos,
+# Nightly depth: long fuzz runs on every wire decoder and on the Key64
+# field-lane/byte-reference equivalence, plus the chaos,
 # failover, fabric-chaos, rdma-chaos, disk-chaos and partition-chaos
 # suites widened with 10 extra derived seeds per table
 # (faults.ExtraSeeds). Mirrors .github/workflows/nightly.yml; run
@@ -196,6 +200,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 300s ./internal/wire/
+	$(GO) test -fuzz 'FuzzKey64$$' -fuzztime 300s ./internal/hashing/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(MAKE) chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
 
 examples:

@@ -153,7 +153,9 @@ func (d *Deployment) ProcessPacket(p *packet.Packet) { d.process(p) }
 // ProcessAndForward feeds one packet through the deployment and returns
 // the packets leaving on egress — carrying this switch's sub-window stamp,
 // ready to be fed into a downstream deployment (the network-wide mode of
-// §5: the first hop stamps, later hops adopt).
+// §5: the first hop stamps, later hops adopt). The returned slice and the
+// packets in it are owned by the deployment: they stay valid until the
+// next call into it, so copy what must outlive that.
 func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet { return d.process(p) }
 
 // process is the shared body of ProcessPacket and ProcessAndForward: run
@@ -168,8 +170,8 @@ func (d *Deployment) process(p *packet.Packet) []*packet.Packet {
 	if d.crashed {
 		return nil
 	}
-	q := *p
-	out := d.sw.Inject(&q)
+	d.pkt = *p
+	out := d.sw.Inject(&d.pkt)
 	d.stats.Packets++
 	d.obs.packets.Inc()
 	d.handleSwitchOutput(out)

@@ -266,7 +266,7 @@ func (e *Engine) handleCollection(pass *switchsim.Pass) {
 	}
 	k := keys[idx]
 	p.OW.Index = uint32(idx)
-	p.OW.AFRs = append(p.OW.AFRs, e.queryAFRs(k, uint32(idx))...)
+	p.OW.AFRs = e.appendAFRs(p.OW.AFRs, k, uint32(idx))
 
 	c := p.Clone()
 	c.OW.Flag = packet.OWAFR
@@ -309,18 +309,17 @@ func (e *Engine) handleReset(pass *switchsim.Pass) {
 func (e *Engine) handleInjectedKey(pass *switchsim.Pass) {
 	p := pass.Pkt
 	p.OW.Flag = packet.OWAFR
-	p.OW.AFRs = append(p.OW.AFRs, e.queryAFRs(p.OW.Key, p.OW.Index)...)
+	p.OW.AFRs = e.appendAFRs(p.OW.AFRs, p.OW.Key, p.OW.Index)
 	pass.CloneToController(p.Clone())
 	pass.Drop()
 }
 
-// queryAFRs builds one AFR per co-deployed app from the collected
-// region's state.
-func (e *Engine) queryAFRs(k packet.FlowKey, seq uint32) []packet.AFR {
-	out := make([]packet.AFR, 0, e.AppCount())
+// appendAFRs appends one AFR per co-deployed app, built from the
+// collected region's state, to dst.
+func (e *Engine) appendAFRs(dst []packet.AFR, k packet.FlowKey, seq uint32) []packet.AFR {
 	for i, app := range e.apps[e.collectRegion] {
 		a := app.Query(k)
-		out = append(out, packet.AFR{
+		dst = append(dst, packet.AFR{
 			Key:         k,
 			Attr:        a.Value,
 			SubWindow:   e.collectSW,
@@ -330,7 +329,7 @@ func (e *Engine) queryAFRs(k packet.FlowKey, seq uint32) []packet.AFR {
 			HasDistinct: a.HasDistinct,
 		})
 	}
-	return out
+	return dst
 }
 
 // Retransmit re-queries specific sequence indexes of the collected region
@@ -341,7 +340,7 @@ func (e *Engine) Retransmit(seqs []uint32) []packet.AFR {
 	out := make([]packet.AFR, 0, len(seqs))
 	for _, s := range seqs {
 		if int(s) < len(keys) {
-			out = append(out, e.queryAFRs(keys[s], s)...)
+			out = e.appendAFRs(out, keys[s], s)
 		}
 	}
 	return out

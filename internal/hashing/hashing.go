@@ -3,12 +3,15 @@
 // cheap per-row independent hashes (Tofino exposes CRC units with
 // configurable polynomials); this package reproduces that with a
 // xxHash-style 64-bit mixer specialized to the 13-byte flow key, plus
-// CRC-32C for controller-side tables.
+// CRC-32C for controller-side tables. Key64 takes its input lanes straight
+// from the key's fields; the values equal hashing the key's big-endian
+// wire serialization, which the package tests pin bit for bit.
 package hashing
 
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 
 	"omniwindow/internal/packet"
 )
@@ -38,11 +41,12 @@ func Mix64(h uint64) uint64 {
 // yield (empirically) independent hash functions, standing in for the
 // per-row CRC polynomials of the switch hash units.
 func Key64(k packet.FlowKey, seed uint64) uint64 {
-	b := k.Bytes()
-	// Treat the 13 bytes as one 8-byte lane, one 4-byte lane and one byte.
-	lane0 := binary.LittleEndian.Uint64(b[0:8])
-	lane1 := uint64(binary.LittleEndian.Uint32(b[8:12]))
-	lane2 := uint64(b[12])
+	// The lanes are the 13-byte big-endian serialization (Bytes) read as
+	// one little-endian 8-byte lane, one 4-byte lane and one byte, built
+	// from the fields directly so no serialization runs per hash.
+	lane0 := uint64(bits.ReverseBytes32(k.SrcIP)) | uint64(bits.ReverseBytes32(k.DstIP))<<32
+	lane1 := uint64(bits.ReverseBytes16(k.SrcPort)) | uint64(bits.ReverseBytes16(k.DstPort))<<16
+	lane2 := uint64(k.Proto)
 
 	h := seed + prime5 + packet.KeyBytes
 	h ^= rotl(lane0*prime2, 31) * prime1

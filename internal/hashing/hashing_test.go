@@ -1,7 +1,9 @@
 package hashing
 
 import (
+	"encoding/binary"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,4 +206,111 @@ func BenchmarkKey64(b *testing.B) {
 		sink += Key64(k, uint64(i))
 	}
 	_ = sink
+}
+
+// key64Bytes is the byte-serializing formulation of Key64: the 13-byte
+// big-endian key read as one little-endian 8-byte lane, one 4-byte lane
+// and one byte. Key64 computes the same lanes from the fields directly;
+// this reference pins that the two never disagree.
+func key64Bytes(k packet.FlowKey, seed uint64) uint64 {
+	b := k.Bytes()
+	lane0 := binary.LittleEndian.Uint64(b[0:8])
+	lane1 := uint64(binary.LittleEndian.Uint32(b[8:12]))
+	lane2 := uint64(b[12])
+
+	h := seed + prime5 + packet.KeyBytes
+	h ^= rotl(lane0*prime2, 31) * prime1
+	h = rotl(h, 27)*prime1 + prime4
+	h ^= lane1 * prime1
+	h = rotl(h, 23)*prime2 + prime3
+	h ^= lane2 * prime5
+	h = rotl(h, 11) * prime1
+	return Mix64(h)
+}
+
+// edgeKeys are the keys whose byte patterns a lane mix-up would most
+// likely mishandle: all-zero, all-ones, and each field alone at its
+// maximum.
+var edgeKeys = []packet.FlowKey{
+	{},
+	{SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16, Proto: math.MaxUint8},
+	{SrcIP: math.MaxUint32},
+	{DstIP: math.MaxUint32},
+	{SrcPort: math.MaxUint16},
+	{DstPort: math.MaxUint16},
+	{Proto: math.MaxUint8},
+}
+
+// TestKey64MatchesByteReference: every sketch bucket, Bloom probe and
+// snapshot depends on Key64's exact value, so the field-lane computation
+// must equal the byte-serializing reference on every input.
+func TestKey64MatchesByteReference(t *testing.T) {
+	for _, k := range edgeKeys {
+		for _, seed := range []uint64{0, 1, math.MaxUint64, 0x9E3779B185EBCA87} {
+			if got, want := Key64(k, seed), key64Bytes(k, seed); got != want {
+				t.Fatalf("Key64(%+v, %#x) = %#x, reference %#x", k, seed, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 1<<20; i++ {
+		k, seed := randKey(rng), rng.Uint64()
+		if got, want := Key64(k, seed), key64Bytes(k, seed); got != want {
+			t.Fatalf("Key64(%+v, %#x) = %#x, reference %#x", k, seed, got, want)
+		}
+	}
+}
+
+func FuzzKey64(f *testing.F) {
+	for _, k := range edgeKeys {
+		f.Add(k.SrcIP, k.DstIP, k.SrcPort, k.DstPort, k.Proto, uint64(0))
+	}
+	f.Add(uint32(0x0A0B0C0D), uint32(0x01020304), uint16(5555), uint16(443), uint8(6), uint64(42))
+	f.Fuzz(func(t *testing.T, src, dst uint32, sp, dp uint16, proto uint8, seed uint64) {
+		k := packet.FlowKey{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}
+		if got, want := Key64(k, seed), key64Bytes(k, seed); got != want {
+			t.Fatalf("Key64(%+v, %#x) = %#x, reference %#x", k, seed, got, want)
+		}
+	})
+}
+
+// goldenKeyDigest is the FNV-64a digest of Key64, Index, Family.Index and
+// Family.Hash64 over a fixed key set (see keyDigest). It pins the hash
+// values themselves: sketch layouts, Bloom verdicts and checkpoint bytes
+// all follow from them, so a change to any single value is a format
+// change, not a refactor.
+const goldenKeyDigest uint64 = 0xb1f9a98788802289
+
+func keyDigest() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	keys := append([]packet.FlowKey(nil), edgeKeys...)
+	rng := rand.New(rand.NewSource(2023))
+	for i := 0; i < 512; i++ {
+		keys = append(keys, randKey(rng))
+	}
+	fam := NewFamily(4, 77)
+	for _, k := range keys {
+		for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+			put(Key64(k, seed))
+			for _, n := range []int{1, 7, 4096, 1 << 20} {
+				put(uint64(Index(k, seed, n)))
+			}
+		}
+		for i := 0; i < fam.Size(); i++ {
+			put(uint64(fam.Index(i, k, 65536)))
+			put(fam.Hash64(i, k))
+		}
+	}
+	return h.Sum64()
+}
+
+func TestGoldenKeyDigest(t *testing.T) {
+	if got := keyDigest(); got != goldenKeyDigest {
+		t.Fatalf("key hash digest = %#x, want %#x: a hash value changed", got, goldenKeyDigest)
+	}
 }

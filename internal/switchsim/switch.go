@@ -32,6 +32,15 @@ type Switch struct {
 	// allocation per packet.
 	passGen    int
 	touchedGen []int
+
+	// Reused by every Inject so the steady-state data path allocates
+	// nothing: the pass handed to the program, and the backing arrays of
+	// the returned Output. Inject clears the previous output on entry and
+	// each pass's slices once drained, so a reused buffer never keeps an
+	// emitted packet reachable.
+	pass         Pass
+	forward      []*packet.Packet
+	toController []*packet.Packet
 }
 
 // New creates a switch with the default capacity and cost model.
@@ -76,6 +85,9 @@ func (sw *Switch) Registers() []RegisterRef {
 }
 
 // Output is everything one Inject produced, with its virtual-time cost.
+// Its slices alias buffers owned by the switch: they stay valid until the
+// next Inject on the same switch, which overwrites them. The switch does
+// not reuse the packets they point to; those may be kept.
 type Output struct {
 	// Forward are the packets leaving on egress ports (normal traffic).
 	Forward []*packet.Packet
@@ -145,17 +157,24 @@ func (p *Pass) Drop() { p.dropped = true }
 // until the packet leaves, and returns everything emitted plus the modeled
 // latency. The recirculation port is hard-wired and independent of front
 // ports, so recirculating packets do not steal bandwidth from normal
-// traffic (paper §4.2).
+// traffic (paper §4.2). The returned Output is valid until the next Inject
+// on this switch.
 func (sw *Switch) Inject(pkt *packet.Packet) Output {
+	clear(sw.forward)
+	clear(sw.toController)
+	sw.forward = sw.forward[:0]
+	sw.toController = sw.toController[:0]
 	if sw.program == nil {
-		return Output{Forward: []*packet.Packet{pkt}, Passes: 1, Latency: sw.Costs.PipelinePass}
+		sw.forward = append(sw.forward, pkt)
+		return Output{Forward: sw.forward, Passes: 1, Latency: sw.Costs.PipelinePass}
 	}
 	if len(sw.touchedGen) < sw.nextRegID {
 		sw.touchedGen = make([]int, sw.nextRegID)
 	}
 	var out Output
 	cur := pkt
-	pass := &Pass{sw: sw}
+	pass := &sw.pass
+	pass.sw = sw
 	for {
 		out.Passes++
 		if out.Passes > sw.maxPasses {
@@ -166,19 +185,24 @@ func (sw *Switch) Inject(pkt *packet.Packet) Output {
 		pass.lastStage = 0
 		pass.recirculate = false
 		pass.dropped = false
-		pass.forward = pass.forward[:0]
-		pass.toController = pass.toController[:0]
 		sw.program(pass)
-		out.ToController = append(out.ToController, pass.toController...)
-		out.Forward = append(out.Forward, pass.forward...)
+		sw.toController = append(sw.toController, pass.toController...)
+		sw.forward = append(sw.forward, pass.forward...)
+		clear(pass.toController)
+		clear(pass.forward)
+		pass.toController = pass.toController[:0]
+		pass.forward = pass.forward[:0]
 		if pass.recirculate {
 			continue
 		}
 		if !pass.dropped {
-			out.Forward = append(out.Forward, cur)
+			sw.forward = append(sw.forward, cur)
 		}
 		break
 	}
+	pass.Pkt = nil
+	out.Forward = sw.forward
+	out.ToController = sw.toController
 	out.Latency = time.Duration(out.Passes) * sw.Costs.PipelinePass
 	return out
 }

@@ -419,6 +419,11 @@ type Deployment struct {
 	appResults [][]controller.WindowResult
 	stats      Stats
 	now        int64
+	// pkt is the copy of the caller's packet that process injects: the
+	// first-hop stamp must not leak into the caller's trace, and a
+	// deployment-owned copy costs no allocation per packet. It is
+	// overwritten by the next packet.
+	pkt packet.Packet
 	// collectAt is the current collection's boundary-anchored due time
 	// (termination + grace). The standby's partition probe observes the
 	// lease at this instant — the boundary it runs at — not at d.now,
