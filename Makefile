@@ -26,12 +26,8 @@ race:
 #	build vet fmt-check  ↔ job "build"
 #	test perfbench-test  ↔ job "test"
 #	race                 ↔ job "race"
-#	chaos                ↔ job "chaos"
-#	failover             ↔ job "failover"
-#	fabric-chaos         ↔ job "fabric-chaos"
-#	rdma-chaos           ↔ job "rdma-chaos"
-#	disk-chaos           ↔ job "disk-chaos"
-#	partition-chaos      ↔ job "partition-chaos"
+#	chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
+#	                     ↔ job "chaos", one matrix entry per target
 #	staticcheck          ↔ job "staticcheck" (CI installs the binary)
 #	cover                ↔ job "coverage"
 #	fuzz-smoke bench-smoke ↔ job "smoke"

@@ -132,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := d.Stats()
 	fmt.Fprintf(stdout, "replayed %d packets in %v (%.0f ns/pkt); %d sub-windows, %d AFRs, worst C&R %v\n\n",
 		st.Packets, elapsed.Round(time.Millisecond),
-		float64(elapsed.Nanoseconds())/float64(maxInt(st.Packets, 1)),
+		float64(elapsed.Nanoseconds())/float64(max(st.Packets, 1)),
 		st.SubWindows, st.AFRs, st.MaxCollectVirtual)
 
 	for _, w := range results {
@@ -151,11 +151,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

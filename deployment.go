@@ -48,13 +48,13 @@ func (d *Deployment) deployResources() error {
 			bloomNames = append(bloomNames, name)
 			spec.Registers = append(spec.Registers, switchsim.RegSpec{
 				Name: name, Feature: "Flowkey tracking",
-				Entries: maxInt(t.BloomBits/64, 1), Width: 8,
+				Entries: max(t.BloomBits/64, 1), Width: 8,
 				After: []string{"fk_track_gate"},
 			})
 		}
 		spec.Registers = append(spec.Registers, switchsim.RegSpec{
 			Name: fmt.Sprintf("fk_buffer_r%d", r), Feature: "Flowkey tracking",
-			Entries: maxInt(t.BufferKeys, 1), Width: packet.KeyBytes,
+			Entries: max(t.BufferKeys, 1), Width: packet.KeyBytes,
 			After: bloomNames,
 		})
 	}
@@ -89,13 +89,6 @@ func (d *Deployment) deployResources() error {
 	}
 	_, err := switchsim.Place(d.sw, spec)
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // installProgram wires the per-packet pipeline logic.
@@ -600,13 +593,6 @@ func (d *Deployment) retryPolicy() controller.RetryPolicy {
 // protocol must notice and repair — and duplicates arrive back to back,
 // which the controller's sequence dedup must suppress.
 func (d *Deployment) deliverAFRs(c *packet.Packet) {
-	if d.testAFRLoss != nil {
-		i := d.afrPktCount
-		d.afrPktCount++
-		if d.testAFRLoss(i) {
-			return // injected loss: cloned packets have lowest priority
-		}
-	}
 	if d.cfg.AFRFaults != nil {
 		act := d.cfg.AFRFaults.Packet()
 		if act.Drop {

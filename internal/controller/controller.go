@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -78,15 +79,14 @@ type entry struct {
 	merged   afr.Merged
 }
 
-// shard owns one partition of the key-value table plus the routed-but-not-
-// yet-inserted records for each open sub-window. Its mutex serializes
-// concurrent ingest appends against the FinishSubWindow worker that drains
-// and merges them; table entries are only ever touched by the worker that
+// shard owns one partition of the key-value table. Its mutex serializes
+// concurrent ingest appends to the shard's slice of each open sub-window's
+// pending records against the FinishSubWindow worker that drains and
+// merges them; table entries are only ever touched by the worker that
 // owns the shard, so no per-entry locking is needed.
 type shard struct {
-	mu      sync.Mutex
-	table   map[packet.FlowKey]*entry
-	pending map[uint64][]packet.AFR
+	mu    sync.Mutex
+	table map[packet.FlowKey]*entry
 	// prevCard is the record count the last finished sub-window drained
 	// from this shard. A new sub-window's pending slice is pre-sized from
 	// it (steady traffic repeats its cardinality), so appends stay within
@@ -94,18 +94,15 @@ type shard struct {
 	prevCard int
 }
 
-// pendingFor returns sub-window sw's pending slice, creating it from the
-// pool pre-sized to max(hint, prevCard) on first use. Caller holds s.mu
-// and must store the appended-to result back into s.pending[sw].
-func (s *shard) pendingFor(sw uint64, hint int) []packet.AFR {
-	p, ok := s.pending[sw]
-	if !ok {
-		if hint < s.prevCard {
-			hint = s.prevCard
-		}
-		p = pool.GetAFRs(hint)
+// appendPending appends recs to shard i's pending slice of sw, taking the
+// slice from the pool pre-sized to max(len(recs), prevCard) on first use.
+// Caller holds s.mu.
+func (s *shard) appendPending(sw *subWindow, i int, recs ...packet.AFR) {
+	p := sw.pending[i]
+	if p == nil {
+		p = pool.GetAFRs(max(len(recs), s.prevCard))
 	}
-	return p
+	sw.pending[i] = append(p, recs...)
 }
 
 // seqSet tracks the AFR sequence numbers seen in one sub-window. Switch
@@ -196,17 +193,61 @@ func (s *seqSet) appendSorted(dst []uint32) []uint32 {
 	return dst
 }
 
-// dedup is the per-sub-window arrival state shared by every shard: the
-// AFR sequence numbers seen so far (duplicate suppression, §8 reliability),
-// the key count announced by the trigger packet (-1 when unknown), the
-// count of sequences whose first arrival was a retransmission, and the
-// count of records admission control shed under overload.
-type dedup struct {
-	mu        sync.Mutex
+// subWindow is one sub-window's controller record. It is created by the
+// first arrival, trigger, spike or damage charge that names the
+// sub-window and goes through three states:
+//
+//   - open: it holds the arrival state — the AFR sequence numbers seen so
+//     far (duplicate suppression, §8 reliability), the key count
+//     announced by the trigger packet (-1 when unknown), the count of
+//     sequences whose first arrival was a retransmission and the count
+//     admission control shed — plus the spike-copy dedup, the O1–O5 times
+//     and each shard's routed-but-not-yet-inserted records;
+//   - finished: FinishSubWindow froze the delivery accounting into rel
+//     and dropped the arrival state; later arrivals count as duplicates;
+//   - retired: O5 deleted the record once no future window needs it.
+type subWindow struct {
+	sw uint64
+	// mu guards every field but sw and pending.
+	mu       sync.Mutex
+	finished bool
+
+	// arrived reports that an AFR or trigger opened the arrival state;
+	// records opened only by spikes or damage charges carry none.
+	arrived   bool
 	seen      seqSet
 	expected  int
 	recovered int
 	shed      int
+
+	// rel is the frozen delivery accounting once finished. While open it
+	// holds damage charged ahead of the finish (NoteLost), which the
+	// finish folds into the frozen figures. hasRel reports that it was
+	// ever set: a record without one reads as never announced.
+	rel    metrics.Reliability
+	hasRel bool
+
+	// spikeSeen dedups the latency-spike copies merged through the
+	// software path, so each copy counts exactly once in spikes.
+	spikeSeen map[spikeID]bool
+	spikes    int
+
+	times OpTimes
+
+	// pending holds, per shard, the records routed to that shard and not
+	// yet inserted. Element i is guarded by shards[i].mu, not by mu.
+	pending [][]packet.AFR
+}
+
+// reliability reads the live arrival accounting. Caller holds w.mu.
+func (w *subWindow) reliability() metrics.Reliability {
+	r := metrics.Reliability{Expected: w.expected, Received: w.seen.size(), Recovered: w.recovered, Shed: w.shed}
+	for s := 0; s < w.expected; s++ {
+		if !w.seen.has(uint32(s)) {
+			r.Missing++
+		}
+	}
+	return r
 }
 
 // OpTimes is the per-sub-window controller time breakdown of Exp#4.
@@ -280,27 +321,19 @@ type Controller struct {
 	cfg    Config
 	shards []*shard
 
-	// mu guards dedups, times, rel, spikes and spikeDone. Per-shard and
-	// per-sub-window state have their own finer locks so concurrent
-	// ingest mostly avoids this one.
-	mu     sync.Mutex
-	dedups map[uint64]*dedup
-	times  map[uint64]*OpTimes
-	// spikes tracks, per open sub-window, the latency-spike copies merged
-	// through the software path (dedup so each copy counts exactly once);
-	// spikeDone keeps each finished sub-window's final count until the
-	// sub-window retires, for window-level SpikePackets accounting.
-	spikes    map[uint64]*spikeState
-	spikeDone map[uint64]int
-	// rel records each finished sub-window's final delivery accounting
-	// (snapshotted by FinishSubWindow before the dedup state retires) so
-	// window assembly can mark windows with unrecovered gaps Incomplete.
-	rel map[uint64]metrics.Reliability
+	// mu guards subs, lastFin, hasFin and lastTimes. Each record has its
+	// own lock, so concurrent ingest holds this one only for the lookup.
+	mu   sync.Mutex
+	subs map[uint64]*subWindow
 	// lastFin is the highest sub-window FinishSubWindow has completed
 	// (valid only when hasFin). Checkpoints carry it so a restored
 	// controller knows which WAL finish records are already applied.
 	lastFin uint64
 	hasFin  bool
+	// lastTimes is lastFin's O1–O5 breakdown, kept past its retirement:
+	// a tumbling plan retires a window's last sub-window in the same
+	// finish that completes it.
+	lastTimes OpTimes
 
 	// finishMu serializes window assembly: FinishSubWindow drains and
 	// merges every shard, so two assemblies must not interleave.
@@ -329,13 +362,9 @@ func NewWithError(cfg Config) (*Controller, error) {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	c := &Controller{
-		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
-		dedups:    make(map[uint64]*dedup),
-		times:     make(map[uint64]*OpTimes),
-		rel:       make(map[uint64]metrics.Reliability),
-		spikes:    make(map[uint64]*spikeState),
-		spikeDone: make(map[uint64]int),
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		subs:   make(map[uint64]*subWindow),
 	}
 	perShard := 0
 	if cfg.ExpectedFlows > 0 {
@@ -344,7 +373,6 @@ func NewWithError(cfg Config) (*Controller, error) {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			table:    make(map[packet.FlowKey]*entry, perShard),
-			pending:  make(map[uint64][]packet.AFR),
 			prevCard: perShard,
 		}
 	}
@@ -383,15 +411,46 @@ func (c *Controller) shardIndex(k packet.FlowKey) int {
 	return hashing.Shard(k, len(c.shards))
 }
 
-func (c *Controller) dedupFor(sw uint64) *dedup {
+// recordLocked returns sw's record, creating it. Caller holds c.mu.
+func (c *Controller) recordLocked(sw uint64) *subWindow {
+	w, ok := c.subs[sw]
+	if !ok {
+		w = &subWindow{
+			sw:       sw,
+			finished: c.hasFin && sw <= c.lastFin,
+			expected: -1,
+			pending:  make([][]packet.AFR, len(c.shards)),
+		}
+		c.subs[sw] = w
+	}
+	return w
+}
+
+// record returns sw's record, creating it.
+func (c *Controller) record(sw uint64) *subWindow {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.dedups[sw]
-	if !ok {
-		d = &dedup{expected: -1}
-		c.dedups[sw] = d
+	return c.recordLocked(sw)
+}
+
+// open returns sw's record for an arrival, creating it, or nil once sw
+// has finished: a finished sub-window takes no more arrivals, and a
+// retired one must not come back. The caller still checks finished under
+// the record's lock, since a finish may land between the two.
+func (c *Controller) open(sw uint64) *subWindow {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.hasFin && sw <= c.lastFin {
+		return nil
 	}
-	return d
+	return c.recordLocked(sw)
+}
+
+// lookup returns sw's record, or nil when there is none.
+func (c *Controller) lookup(sw uint64) *subWindow {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.subs[sw]
 }
 
 // ingestScratch is ingestBatch's reusable workspace: the per-record shard
@@ -400,6 +459,8 @@ func (c *Controller) dedupFor(sw uint64) *dedup {
 type ingestScratch struct {
 	sis   []int
 	parts [][]packet.AFR
+	// subs holds the distinct open records the batch admitted into.
+	subs []*subWindow
 }
 
 func (c *Controller) getScratch() *ingestScratch {
@@ -423,26 +484,24 @@ func (c *Controller) putScratch(sc *ingestScratch) {
 	c.scratchMu.Unlock()
 }
 
-// addCollect charges O1 time to a sub-window (concurrent-safe).
-func (c *Controller) addCollect(sw uint64, dt time.Duration) {
-	c.mu.Lock()
-	t, ok := c.times[sw]
-	if !ok {
-		t = &OpTimes{}
-		c.times[sw] = t
-	}
-	t.Collect += dt
-	c.mu.Unlock()
-}
-
-// Times returns the recorded O1–O5 breakdown for a sub-window.
+// Times returns the recorded O1–O5 breakdown for a sub-window: while its
+// record lives, and for the last finished sub-window also after its
+// retirement.
 func (c *Controller) Times(sw uint64) OpTimes {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.times[sw]; ok {
-		return *t
+	w := c.subs[sw]
+	if w == nil {
+		var t OpTimes
+		if c.hasFin && sw == c.lastFin {
+			t = c.lastTimes
+		}
+		c.mu.Unlock()
+		return t
 	}
-	return OpTimes{}
+	c.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.times
 }
 
 // Receive ingests one switch-to-controller packet: AFR payloads, trigger
@@ -454,20 +513,24 @@ func (c *Controller) Receive(p *packet.Packet) {
 	case packet.OWAFR, packet.OWRetransmit:
 		c.ingestBatch(p.OW.AFRs, p.OW.Flag == packet.OWRetransmit, true)
 	case packet.OWTrigger:
-		d := c.dedupFor(p.OW.SubWindow)
-		d.mu.Lock()
+		c.obs.Ring.Record(obs.StageAnnounced, p.OW.SubWindow, -1, int64(p.OW.KeyCount))
+		w := c.open(p.OW.SubWindow)
+		if w == nil {
+			return
+		}
+		w.mu.Lock()
 		// Announcements are cumulative knowledge: a retransmitted or
 		// post-recovery trigger (e.g. a switch re-terminating against an
 		// already-drained data structure announces KeyCount 0) must never
 		// lower an expectation a replayed trigger already established —
 		// that would erase Missing entries for keys the controller knows
 		// it has not received. Keep the max; -1 means "not yet announced".
-		if n := int(p.OW.KeyCount); n > d.expected {
-			d.expected = n
+		if !w.finished {
+			w.arrived = true
+			w.expected = max(w.expected, int(p.OW.KeyCount))
+			w.times.Collect += time.Since(start)
 		}
-		d.mu.Unlock()
-		c.obs.Ring.Record(obs.StageAnnounced, p.OW.SubWindow, -1, int64(p.OW.KeyCount))
-		c.addCollect(p.OW.SubWindow, time.Since(start))
+		w.mu.Unlock()
 	}
 }
 
@@ -481,16 +544,16 @@ func (c *Controller) IngestAFRs(recs []packet.AFR) {
 }
 
 // ingestBatch is the shared batched ingest under Receive and IngestAFRs:
-// route lock-free, dedup with one lock acquisition per run of equal
-// sub-windows, then append each shard's survivors under one shard lock
-// acquisition per (shard, batch) — where the per-record path took the
-// dedup and shard locks once per AFR. retrans marks records arriving via
-// the NACK/retransmit path, so recovery accounting counts only sequences
+// route lock-free, dedup with one record-lock acquisition per run of
+// equal sub-windows, then append each shard's survivors under one shard
+// lock acquisition per (shard, batch). Records for a finished sub-window
+// count as duplicates. retrans marks records arriving via the
+// NACK/retransmit path, so recovery accounting counts only sequences
 // whose FIRST arrival was a retransmission (a retransmit of a record that
 // also arrived normally is a plain duplicate). charge attributes the
 // elapsed time to O1 Collect (the packet path; direct RDMA ingest is not
 // an O1 receive). recs is not retained: survivors are copied into the
-// shard's pending storage.
+// records' pending storage.
 func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 	if len(recs) == 0 {
 		return
@@ -505,39 +568,51 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 		sis[i] = c.shardIndex(recs[i].Key)
 	}
 	parts := sc.parts
-	var d *dedup
-	var dsw uint64
+	var w *subWindow
+	var wsw uint64
 	var admitted, dups, recovered int64
+	// release closes the current run: charge its O1 time and unlock.
+	release := func() {
+		if w == nil {
+			return
+		}
+		if charge {
+			now := time.Now()
+			w.times.Collect += now.Sub(start)
+			start = now
+		}
+		w.mu.Unlock()
+	}
 	for i := range recs {
 		r := &recs[i]
-		if d == nil || r.SubWindow != dsw {
-			if d != nil {
-				d.mu.Unlock()
-				if charge {
-					c.addCollect(dsw, time.Since(start))
-					start = time.Now()
+		if i == 0 || r.SubWindow != wsw {
+			release()
+			wsw = r.SubWindow
+			if w = c.open(wsw); w != nil {
+				w.mu.Lock()
+				if w.finished {
+					w.mu.Unlock()
+					w = nil
+				} else {
+					w.arrived = true
+					if !slices.Contains(sc.subs, w) {
+						sc.subs = append(sc.subs, w)
+					}
 				}
 			}
-			d, dsw = c.dedupFor(r.SubWindow), r.SubWindow
-			d.mu.Lock()
 		}
-		if !d.seen.add(r.Seq) {
+		if w == nil || !w.seen.add(r.Seq) {
 			dups++
-			continue // duplicate delivery
+			continue // duplicate delivery, or late for a finished sub-window
 		}
 		if retrans {
-			d.recovered++
+			w.recovered++
 			recovered++
 		}
 		admitted++
 		parts[sis[i]] = append(parts[sis[i]], *r)
 	}
-	if d != nil {
-		d.mu.Unlock()
-		if charge {
-			c.addCollect(dsw, time.Since(start))
-		}
-	}
+	release()
 	c.obs.Ingested.Add(admitted)
 	c.obs.Duplicates.Add(dups)
 	if recovered > 0 {
@@ -549,18 +624,25 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 		}
 		s := c.shards[si]
 		s.mu.Lock()
-		// Append runs of equal sub-windows so each run costs one map
-		// lookup; pendingFor pre-sizes a new sub-window's slice from the
-		// previous one's cardinality.
+		// Append runs of equal sub-windows so each run costs one record
+		// search over the batch's few records.
 		for j, k := 0, 0; j < len(part); j = k {
 			sw := part[j].SubWindow
 			for k = j + 1; k < len(part) && part[k].SubWindow == sw; k++ {
 			}
-			s.pending[sw] = append(s.pendingFor(sw, k-j), part[j:k]...)
+			var w *subWindow
+			for _, w = range sc.subs {
+				if w.sw == sw {
+					break
+				}
+			}
+			s.appendPending(w, si, part[j:k]...)
 		}
 		s.mu.Unlock()
 		parts[si] = part[:0]
 	}
+	clear(sc.subs)
+	sc.subs = sc.subs[:0]
 	c.putScratch(sc)
 }
 
@@ -572,24 +654,6 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 type spikeID struct {
 	key packet.FlowKey
 	seq uint32
-}
-
-// spikeState is one open sub-window's software-path bookkeeping.
-type spikeState struct {
-	mu    sync.Mutex
-	seen  map[spikeID]bool
-	count int
-}
-
-func (c *Controller) spikeFor(sw uint64) *spikeState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.spikes[sw]
-	if !ok {
-		s = &spikeState{seen: make(map[spikeID]bool)}
-		c.spikes[sw] = s
-	}
-	return s
 }
 
 // IngestSpike merges one latency-spike packet copy through the software
@@ -608,109 +672,89 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 		return false
 	}
 	sw := p.OW.SubWindow
-	c.mu.Lock()
-	finished := c.hasFin && sw <= c.lastFin
-	c.mu.Unlock()
-	if finished {
+	w := c.open(sw)
+	if w == nil {
 		return false
 	}
-	st := c.spikeFor(sw)
 	id := spikeID{key: p.Key, seq: p.Seq}
-	st.mu.Lock()
-	if st.seen[id] {
-		st.mu.Unlock()
+	w.mu.Lock()
+	if w.finished || w.spikeSeen[id] {
+		w.mu.Unlock()
 		return false
 	}
-	st.seen[id] = true
-	st.count++
-	st.mu.Unlock()
+	if w.spikeSeen == nil {
+		w.spikeSeen = make(map[spikeID]bool)
+	}
+	w.spikeSeen[id] = true
+	w.spikes++
+	w.mu.Unlock()
 
 	// The contribution enters the owning shard's pending list like an AFR
 	// and is folded by the next FinishSubWindow. It deliberately bypasses
 	// the AFR sequence dedup: spike packets are not part of the switch's
 	// announced per-sub-window sequence space, so they must not consume
 	// (or collide with) AFR sequence numbers in loss accounting.
-	s := c.shards[c.shardIndex(p.Key)]
+	si := c.shardIndex(p.Key)
+	s := c.shards[si]
 	s.mu.Lock()
-	s.pending[sw] = append(s.pendingFor(sw, 1), packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw})
+	s.appendPending(w, si, packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw})
 	s.mu.Unlock()
 	c.obs.Spikes.Inc()
 	return true
 }
 
 // SpikePackets reports the number of spike copies merged so far for a
-// sub-window (live state while open, the final count after finishing, 0
-// once retired or never seen).
+// sub-window (live while open, final after finishing, 0 once retired or
+// never seen).
 func (c *Controller) SpikePackets(sw uint64) int {
-	c.mu.Lock()
-	st, live := c.spikes[sw]
-	done, ok := c.spikeDone[sw]
-	c.mu.Unlock()
-	if live {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.count
+	w := c.lookup(sw)
+	if w == nil {
+		return 0
 	}
-	if ok {
-		return done
-	}
-	return 0
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.spikes
 }
 
 // MissingSeqs reports AFR sequence numbers the controller has not received
-// for a sub-window, given the key count announced by the trigger packet.
-// It returns nil when nothing is known to be missing (§8, reliability).
+// for an open sub-window, given the key count announced by the trigger
+// packet. It returns nil when nothing is known to be missing (§8,
+// reliability).
 func (c *Controller) MissingSeqs(sw uint64) []uint32 {
-	c.mu.Lock()
-	d, ok := c.dedups[sw]
-	c.mu.Unlock()
-	if !ok {
+	w := c.lookup(sw)
+	if w == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.expected < 0 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.finished {
 		return nil
 	}
 	var missing []uint32
-	for s := 0; s < d.expected; s++ {
-		if !d.seen.has(uint32(s)) {
+	for s := 0; s < w.expected; s++ {
+		if !w.seen.has(uint32(s)) {
 			missing = append(missing, uint32(s))
 		}
 	}
 	return missing
 }
 
-// snapshotReliability reads a dedup's delivery accounting. Caller must
-// not hold d.mu.
-func snapshotReliability(d *dedup) metrics.Reliability {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r := metrics.Reliability{Expected: d.expected, Received: d.seen.size(), Recovered: d.recovered, Shed: d.shed}
-	if d.expected >= 0 {
-		for s := 0; s < d.expected; s++ {
-			if !d.seen.has(uint32(s)) {
-				r.Missing++
-			}
-		}
-	}
-	return r
-}
-
 // Reliability reports a sub-window's AFR delivery accounting: live state
-// while the sub-window is still collecting, the final snapshot after
+// while the sub-window is still collecting, the frozen figures after
 // FinishSubWindow, and a zero-value "never heard of it" record (Expected
 // -1) otherwise.
 func (c *Controller) Reliability(sw uint64) metrics.Reliability {
-	c.mu.Lock()
-	d, live := c.dedups[sw]
-	rel, done := c.rel[sw]
-	c.mu.Unlock()
-	if live {
-		return snapshotReliability(d)
+	w := c.lookup(sw)
+	if w == nil {
+		return metrics.Reliability{Expected: -1}
 	}
-	if done {
-		return rel
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case !w.finished && w.arrived:
+		return w.reliability()
+	case w.hasRel:
+		return w.rel
 	}
 	return metrics.Reliability{Expected: -1}
 }
@@ -753,7 +797,7 @@ func (c *Controller) forEachShard(f func(i int, s *shard)) {
 // All four operations run across shards on a worker pool; per-shard
 // durations are summed into the sub-window's OpTimes so Exp#4's breakdown
 // reports total CPU work, not wall-clock. Per-shard results are folded
-// deterministically (a single packetKeyLess sort over the concatenated
+// deterministically (a single FlowKey.Less sort over the concatenated
 // detections), so the output is byte-for-byte identical for every shard
 // count.
 func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
@@ -769,16 +813,15 @@ func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 	var out []WindowResult
 	if done {
 		for fill := last + 1; fill < sw; fill++ {
-			c.mu.Lock()
-			_, announced := c.dedups[fill]
-			_, accounted := c.rel[fill]
-			if !announced && !accounted {
+			w := c.record(fill)
+			w.mu.Lock()
+			if !w.arrived && !w.hasRel {
 				// Nothing was ever announced for this sub-window: its
 				// data died with the switch. Record the loss so the
 				// spanning window is marked Incomplete.
-				c.rel[fill] = metrics.Reliability{Missing: 1}
+				w.rel, w.hasRel = metrics.Reliability{Missing: 1}, true
 			}
-			c.mu.Unlock()
+			w.mu.Unlock()
 			out = append(out, c.finishOne(fill)...)
 		}
 	}
@@ -790,14 +833,15 @@ func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 // sub-window in finish order.
 func (c *Controller) finishOne(sw uint64) []WindowResult {
 	finStart := time.Now()
+	w := c.record(sw)
 	// O2 + O3 per shard: drain the routed records, insert, merge.
 	type o23 struct{ insert, merge time.Duration }
 	o23s := make([]o23, len(c.shards))
 	c.forEachShard(func(i int, s *shard) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		recs := s.pending[sw]
-		delete(s.pending, sw)
+		recs := w.pending[i]
+		w.pending[i] = nil
 
 		start := time.Now()
 		touched := make([]*entry, 0, len(recs))
@@ -828,41 +872,26 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		pool.PutAFRs(recs)
 	})
 
-	c.mu.Lock()
-	t, ok := c.times[sw]
-	if !ok {
-		t = &OpTimes{}
-		c.times[sw] = t
-	}
 	var o2sum, o3sum time.Duration
 	for _, o := range o23s {
-		t.Insert += o.insert
-		t.Merge += o.merge
 		o2sum += o.insert
 		o3sum += o.merge
 	}
-	// Snapshot the final delivery accounting before retiring the dedup
-	// state: window assembly needs to know whether recovery left gaps.
-	if d, live := c.dedups[sw]; live {
-		c.mu.Unlock()
-		rel := snapshotReliability(d)
-		c.mu.Lock()
-		// NoteLost may have pre-charged damage (quarantined WAL frames)
-		// against a still-open sub-window; fold it into the dedup's final
-		// snapshot instead of overwriting it.
-		if prior, ok := c.rel[sw]; ok {
-			rel.Missing += prior.Missing
-		}
-		c.rel[sw] = rel
+	// Freeze the final delivery accounting — window assembly needs to
+	// know whether recovery left gaps — folding in damage NoteLost
+	// charged while the sub-window was open, then drop the arrival state.
+	w.mu.Lock()
+	w.times.Insert += o2sum
+	w.times.Merge += o3sum
+	if w.arrived {
+		rel := w.reliability()
+		rel.Missing += w.rel.Missing
+		w.rel, w.hasRel = rel, true
 	}
-	delete(c.dedups, sw)
-	// Same for the software path: freeze the sub-window's spike count.
-	if st, live := c.spikes[sw]; live {
-		st.mu.Lock()
-		c.spikeDone[sw] = st.count
-		st.mu.Unlock()
-		delete(c.spikes, sw)
-	}
+	w.finished = true
+	w.seen, w.spikeSeen = seqSet{}, nil
+	w.mu.Unlock()
+	c.mu.Lock()
 	if !c.hasFin || sw > c.lastFin {
 		c.lastFin, c.hasFin = sw, true
 	}
@@ -872,6 +901,7 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 
 	wStart, ok := c.cfg.Plan.Ends(sw)
 	if !ok {
+		c.keepTimes(w)
 		c.obs.Finish.Observe(time.Since(finStart))
 		c.obs.Ring.Record(obs.StageFinished, sw, len(c.shards), int64(time.Since(finStart)))
 		return nil
@@ -908,17 +938,20 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 
 	start := time.Now()
 	res := WindowResult{Start: wStart, End: sw}
-	c.mu.Lock()
 	for s := wStart; s <= sw; s++ {
-		r := c.rel[s]
-		res.MissingAFRs += r.Missing
-		res.ShedAFRs += r.Shed
-		if r.Shed > 0 && r.Missing > 0 {
+		sub := c.lookup(s)
+		if sub == nil {
+			continue
+		}
+		sub.mu.Lock()
+		res.MissingAFRs += sub.rel.Missing
+		res.ShedAFRs += sub.rel.Shed
+		if sub.rel.Shed > 0 && sub.rel.Missing > 0 {
 			res.Degraded = true
 		}
-		res.SpikePackets += c.spikeDone[s]
+		res.SpikePackets += sub.spikes
+		sub.mu.Unlock()
 	}
-	c.mu.Unlock()
 	res.Incomplete = res.MissingAFRs > 0
 	total := 0
 	for _, o := range o4s {
@@ -934,21 +967,21 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		}
 	}
 	sort.Slice(res.Detected, func(i, j int) bool {
-		return packetKeyLess(res.Detected[i], res.Detected[j])
+		return res.Detected[i].Less(res.Detected[j])
 	})
 	fold := time.Since(start)
 
-	c.mu.Lock()
 	o4sum := fold
 	for _, o := range o4s {
-		t.Process += o.scan
 		o4sum += o.scan
 	}
-	t.Process += fold
-	c.mu.Unlock()
+	w.mu.Lock()
+	w.times.Process += o4sum
+	w.mu.Unlock()
 	c.obs.OpProcess.Observe(o4sum)
 
-	// O5: retire sub-windows that no future window needs.
+	// O5: retire sub-windows that no future window needs — their
+	// contributions leave the table and their records are deleted.
 	if retire, ok := c.cfg.Plan.Retire(sw); ok {
 		evicts := make([]time.Duration, len(c.shards))
 		c.forEachShard(func(i int, s *shard) {
@@ -958,35 +991,23 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 			c.evictShard(s, retire)
 			evicts[i] = time.Since(start)
 		})
-		c.mu.Lock()
 		var o5sum time.Duration
 		for _, dt := range evicts {
-			t.Evict += dt
 			o5sum += dt
 		}
+		w.mu.Lock()
+		w.times.Evict += o5sum
+		w.mu.Unlock()
 		c.obs.OpEvict.Observe(o5sum)
-		for old := range c.dedups {
+		c.mu.Lock()
+		for old := range c.subs {
 			if old <= retire {
-				delete(c.dedups, old)
-			}
-		}
-		for old := range c.rel {
-			if old <= retire {
-				delete(c.rel, old)
-			}
-		}
-		for old := range c.spikes {
-			if old <= retire {
-				delete(c.spikes, old)
-			}
-		}
-		for old := range c.spikeDone {
-			if old <= retire {
-				delete(c.spikeDone, old)
+				delete(c.subs, old)
 			}
 		}
 		c.mu.Unlock()
 	}
+	c.keepTimes(w)
 	c.obs.Finish.Observe(time.Since(finStart))
 	c.obs.Ring.Record(obs.StageFinished, sw, len(c.shards), int64(time.Since(finStart)))
 	c.obs.Ring.Record(obs.StageWindowEmitted, sw, -1, int64(wStart))
@@ -998,6 +1019,17 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		c.obs.DegradedWindows.Inc()
 	}
 	return []WindowResult{res}
+}
+
+// keepTimes saves the just-finished sub-window's breakdown as lastTimes,
+// so Times still answers for it after O5 retired its record.
+func (c *Controller) keepTimes(w *subWindow) {
+	w.mu.Lock()
+	t := w.times
+	w.mu.Unlock()
+	c.mu.Lock()
+	c.lastTimes = t
+	c.mu.Unlock()
 }
 
 // detect applies the configured query predicate.
@@ -1035,27 +1067,4 @@ func (c *Controller) evictShard(s *shard, retire uint64) {
 			e.contribs = kept
 		}
 	}
-	for sw := range s.pending {
-		if sw <= retire {
-			pool.PutAFRs(s.pending[sw])
-			delete(s.pending, sw)
-		}
-	}
-}
-
-// packetKeyLess orders flow keys deterministically for stable output.
-func packetKeyLess(a, b packet.FlowKey) bool {
-	if a.SrcIP != b.SrcIP {
-		return a.SrcIP < b.SrcIP
-	}
-	if a.DstIP != b.DstIP {
-		return a.DstIP < b.DstIP
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
 }

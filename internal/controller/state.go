@@ -29,40 +29,37 @@ func (c *Controller) NoteShed(sw uint64, n int) {
 	}
 	c.obs.Shed.Add(int64(n))
 	c.obs.Ring.Record(obs.StageShed, sw, -1, int64(n))
-	c.mu.Lock()
-	if d, live := c.dedups[sw]; live {
-		c.mu.Unlock()
-		d.mu.Lock()
-		d.shed += n
-		d.mu.Unlock()
+	w := c.lookup(sw)
+	if w == nil {
 		return
 	}
-	if rel, done := c.rel[sw]; done {
-		rel.Shed += n
-		c.rel[sw] = rel
+	w.mu.Lock()
+	switch {
+	case !w.finished && w.arrived:
+		w.shed += n
+	case w.hasRel:
+		w.rel.Shed += n
 	}
-	c.mu.Unlock()
+	w.mu.Unlock()
 }
 
 // NoteLost records that n units of a sub-window's durable record are
 // unrecoverable (quarantined WAL segments, a degraded-durability gap the
 // standby cannot replay). Unlike shed — which is pressure the live path
 // already accounted — lost is damage: it always lands in the sub-window's
-// Missing tally, creating the reliability entry if the sub-window was
-// never announced, so every window spanning it assembles as Incomplete
-// instead of silently wrong.
+// Missing tally, creating the record if the sub-window was never
+// announced, so every window spanning it assembles as Incomplete instead
+// of silently wrong. A charge against an open sub-window is folded into
+// its frozen accounting when it finishes.
 func (c *Controller) NoteLost(sw uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	c.mu.Lock()
-	// Works for open and finished sub-windows alike: finishOne merges a
-	// pre-charged entry into the dedup's final snapshot, and the fill
-	// loop treats the entry as already-accounted.
-	rel := c.rel[sw]
-	rel.Missing += n
-	c.rel[sw] = rel
-	c.mu.Unlock()
+	w := c.record(sw)
+	w.mu.Lock()
+	w.rel.Missing += n
+	w.hasRel = true
+	w.mu.Unlock()
 }
 
 // LastFinished reports the highest sub-window FinishSubWindow has
@@ -74,12 +71,13 @@ func (c *Controller) LastFinished() (sw uint64, ok bool) {
 }
 
 // ExportState snapshots the controller's complete restorable state: the
-// key-value table, routed-but-unmerged records, open sub-window arrival
-// state and finished sub-window accounting. Output ordering is fully
-// deterministic (keys by packetKeyLess, everything else by sub-window and
-// sequence), so encoding the snapshot is byte-stable regardless of shard
-// count or ingest interleaving. ThroughLSN is left zero; the durable layer
-// stamps it with its own log position.
+// key-value table, routed-but-unmerged records, open sub-windows' arrival
+// state and the delivery accounting of finished sub-windows and of open
+// ones already charged damage. Output ordering is fully deterministic
+// (keys by FlowKey.Less, everything else by sub-window and sequence), so
+// encoding the snapshot is byte-stable regardless of shard count or
+// ingest interleaving. ThroughLSN is left zero; the durable layer stamps
+// it with its own log position.
 func (c *Controller) ExportState() *wire.Snapshot {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
@@ -96,53 +94,59 @@ func (c *Controller) ExportState() *wire.Snapshot {
 			}
 			s.Entries = append(s.Entries, se)
 		}
-		for _, recs := range sh.pending {
-			s.Pending = append(s.Pending, recs...)
-		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(s.Entries, func(i, j int) bool {
-		return packetKeyLess(s.Entries[i].Key, s.Entries[j].Key)
-	})
-	sort.Slice(s.Pending, func(i, j int) bool {
-		a, b := &s.Pending[i], &s.Pending[j]
-		if a.SubWindow != b.SubWindow {
-			return a.SubWindow < b.SubWindow
-		}
-		return a.Seq < b.Seq
+		return s.Entries[i].Key.Less(s.Entries[j].Key)
 	})
 
 	c.mu.Lock()
 	s.LastFinished, s.HasFinished = c.lastFin, c.hasFin
-	for sw, d := range c.dedups {
-		d.mu.Lock()
-		sd := wire.SnapDedup{
-			SW:        sw,
-			Expected:  int32(d.expected),
-			Recovered: uint32(d.recovered),
-			Shed:      uint32(d.shed),
-		}
-		if n := d.seen.size(); n > 0 {
-			// appendSorted iterates the bitset in ascending order, so the
-			// snapshot bytes stay identical to the sorted-map encoding.
-			sd.Seen = d.seen.appendSorted(make([]uint32, 0, n))
-		}
-		d.mu.Unlock()
-		s.Dedups = append(s.Dedups, sd)
-	}
-	for sw, r := range c.rel {
-		s.Rels = append(s.Rels, wire.SnapRel{
-			SW:        sw,
-			Expected:  int32(r.Expected),
-			Received:  uint32(r.Received),
-			Recovered: uint32(r.Recovered),
-			Missing:   uint32(r.Missing),
-			Shed:      uint32(r.Shed),
-		})
+	subs := make([]*subWindow, 0, len(c.subs))
+	for _, w := range c.subs {
+		subs = append(subs, w)
 	}
 	c.mu.Unlock()
-	sort.Slice(s.Dedups, func(i, j int) bool { return s.Dedups[i].SW < s.Dedups[j].SW })
-	sort.Slice(s.Rels, func(i, j int) bool { return s.Rels[i].SW < s.Rels[j].SW })
+	sort.Slice(subs, func(i, j int) bool { return subs[i].sw < subs[j].sw })
+
+	for _, w := range subs {
+		from := len(s.Pending)
+		for i, sh := range c.shards {
+			sh.mu.Lock()
+			s.Pending = append(s.Pending, w.pending[i]...)
+			sh.mu.Unlock()
+		}
+		run := s.Pending[from:]
+		sort.SliceStable(run, func(i, j int) bool { return run[i].Seq < run[j].Seq })
+
+		w.mu.Lock()
+		if !w.finished && w.arrived {
+			sd := wire.SnapDedup{
+				SW:        w.sw,
+				Expected:  int32(w.expected),
+				Recovered: uint32(w.recovered),
+				Shed:      uint32(w.shed),
+			}
+			if n := w.seen.size(); n > 0 {
+				// appendSorted iterates the bitset in ascending order, so the
+				// snapshot bytes stay identical to the sorted-map encoding.
+				sd.Seen = w.seen.appendSorted(make([]uint32, 0, n))
+			}
+			s.Dedups = append(s.Dedups, sd)
+		}
+		if w.hasRel {
+			r := w.rel
+			s.Rels = append(s.Rels, wire.SnapRel{
+				SW:        w.sw,
+				Expected:  int32(r.Expected),
+				Received:  uint32(r.Received),
+				Recovered: uint32(r.Recovered),
+				Missing:   uint32(r.Missing),
+				Shed:      uint32(r.Shed),
+			})
+		}
+		w.mu.Unlock()
+	}
 	return s
 }
 
@@ -158,7 +162,6 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.table = make(map[packet.FlowKey]*entry)
-		sh.pending = make(map[uint64][]packet.AFR)
 		sh.mu.Unlock()
 	}
 	for _, se := range s.Entries {
@@ -177,36 +180,38 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 		sh.table[se.Key] = e
 		sh.mu.Unlock()
 	}
-	for _, r := range s.Pending {
-		sh := c.shards[c.shardIndex(r.Key)]
-		sh.mu.Lock()
-		sh.pending[r.SubWindow] = append(sh.pending[r.SubWindow], r)
-		sh.mu.Unlock()
-	}
 
 	c.mu.Lock()
-	c.dedups = make(map[uint64]*dedup)
-	c.rel = make(map[uint64]metrics.Reliability)
+	defer c.mu.Unlock()
+	c.subs = make(map[uint64]*subWindow)
 	c.lastFin, c.hasFin = s.LastFinished, s.HasFinished
+	for _, r := range s.Pending {
+		si := c.shardIndex(r.Key)
+		w := c.recordLocked(r.SubWindow)
+		w.pending[si] = append(w.pending[si], r)
+	}
 	for _, sd := range s.Dedups {
-		d := &dedup{
-			expected:  int(sd.Expected),
-			recovered: int(sd.Recovered),
-			shed:      int(sd.Shed),
+		if c.hasFin && sd.SW <= c.lastFin {
+			continue // a finished sub-window keeps no arrival state
 		}
+		w := c.recordLocked(sd.SW)
+		w.arrived = true
+		w.expected = int(sd.Expected)
+		w.recovered = int(sd.Recovered)
+		w.shed = int(sd.Shed)
 		for _, seq := range sd.Seen {
-			d.seen.add(seq)
+			w.seen.add(seq)
 		}
-		c.dedups[sd.SW] = d
 	}
 	for _, sr := range s.Rels {
-		c.rel[sr.SW] = metrics.Reliability{
+		w := c.recordLocked(sr.SW)
+		w.rel = metrics.Reliability{
 			Expected:  int(sr.Expected),
 			Received:  int(sr.Received),
 			Recovered: int(sr.Recovered),
 			Missing:   int(sr.Missing),
 			Shed:      int(sr.Shed),
 		}
+		w.hasRel = true
 	}
-	c.mu.Unlock()
 }

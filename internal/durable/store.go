@@ -77,11 +77,17 @@ const (
 	// well as in bytes.
 	segBoundaryCadence = 8
 
-	defaultSegmentBytes    = 256 << 10
-	defaultRetryLimit      = 3
-	defaultRetryBackoff    = time.Millisecond
-	defaultRetryMaxBackoff = 50 * time.Millisecond
-	defaultScrubDepth      = 64
+	defaultSegmentBytes = 256 << 10
+	defaultRetryLimit   = 3
+
+	// retryBackoff is the first retry's backoff, doubling per attempt up
+	// to retryMaxBackoff. Backoff is charged to the store's virtual
+	// IO-wait accumulator (TakeIOWait), never slept.
+	retryBackoff    = time.Millisecond
+	retryMaxBackoff = 50 * time.Millisecond
+	// scrubDepth is how many recent frames per chain Scrub re-reads and
+	// CRC-verifies.
+	scrubDepth = 64
 )
 
 // Options tunes OpenStore. The zero value gives the production defaults.
@@ -94,14 +100,6 @@ type Options struct {
 	// RetryLimit is how many times a transiently failed file operation is
 	// retried; 0 means the default (3), negative disables retries.
 	RetryLimit int
-	// RetryBackoff is the first retry's backoff, doubling per attempt up
-	// to RetryMaxBackoff. Backoff is charged to the store's virtual
-	// IO-wait accumulator (TakeIOWait), never slept.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
-	// ScrubDepth is how many recent frames per chain Scrub re-reads and
-	// CRC-verifies; 0 means the default (64), negative disables scrubbing.
-	ScrubDepth int
 }
 
 // LostLSNRange is a gap in the recovered LSN sequence: frames the store
@@ -144,11 +142,8 @@ type Store struct {
 	shards int
 	fsys   FS
 
-	segBytes        int64
-	retryLimit      int
-	retryBackoff    time.Duration
-	retryMaxBackoff time.Duration
-	scrubDepth      int
+	segBytes   int64
+	retryLimit int
 
 	lsn atomic.Uint64 // last issued LSN
 
@@ -211,14 +206,11 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 		fsys = OSFS{}
 	}
 	s := &Store{
-		dir:             dir,
-		shards:          shards,
-		fsys:            fsys,
-		segBytes:        int64(opt.SegmentBytes),
-		retryLimit:      opt.RetryLimit,
-		retryBackoff:    opt.RetryBackoff,
-		retryMaxBackoff: opt.RetryMaxBackoff,
-		scrubDepth:      opt.ScrubDepth,
+		dir:        dir,
+		shards:     shards,
+		fsys:       fsys,
+		segBytes:   int64(opt.SegmentBytes),
+		retryLimit: opt.RetryLimit,
 	}
 	if s.segBytes <= 0 {
 		s.segBytes = defaultSegmentBytes
@@ -228,21 +220,6 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 		s.retryLimit = defaultRetryLimit
 	case s.retryLimit < 0:
 		s.retryLimit = 0
-	}
-	if s.retryBackoff <= 0 {
-		s.retryBackoff = defaultRetryBackoff
-	}
-	if s.retryMaxBackoff < s.retryBackoff {
-		s.retryMaxBackoff = defaultRetryMaxBackoff
-		if s.retryMaxBackoff < s.retryBackoff {
-			s.retryMaxBackoff = s.retryBackoff
-		}
-	}
-	switch {
-	case s.scrubDepth == 0:
-		s.scrubDepth = defaultScrubDepth
-	case s.scrubDepth < 0:
-		s.scrubDepth = 0
 	}
 
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -269,11 +246,7 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 }
 
 func (s *Store) newChain(id uint32, name string) *chain {
-	c := &chain{id: id, name: name}
-	if s.scrubDepth > 0 {
-		c.ring = make([]frameLoc, s.scrubDepth)
-	}
-	return c
+	return &chain{id: id, name: name, ring: make([]frameLoc, scrubDepth)}
 }
 
 func (s *Store) segPath(c *chain, gen uint64) string {
@@ -469,12 +442,22 @@ func isFull(err error) bool {
 	return errors.Is(err, faults.ErrDiskENOSPC) || errors.Is(err, syscall.ENOSPC)
 }
 
-func (s *Store) nextBackoff(backoff time.Duration) time.Duration {
-	backoff *= 2
-	if backoff > s.retryMaxBackoff {
-		backoff = s.retryMaxBackoff
+// retry runs op, retrying a failure up to retryLimit times with a
+// doubling backoff charged to ioWait before each retry. A failure that
+// stop reports (nil stop: none) is persistent and ends the retries.
+func (s *Store) retry(stop func(error) bool, op func() error) error {
+	backoff := retryBackoff
+	var err error
+	for attempt := 0; attempt <= s.retryLimit; attempt++ {
+		if attempt > 0 {
+			s.ioWait.Add(int64(backoff))
+			backoff = min(2*backoff, retryMaxBackoff)
+		}
+		if err = op(); err == nil || (stop != nil && stop(err)) {
+			return err
+		}
 	}
-	return backoff
+	return err
 }
 
 // sealLocked closes the active segment; the next append opens a fresh
@@ -525,28 +508,16 @@ func (s *Store) openSegmentLocked(c *chain) error {
 // fresh file. ENOSPC is persistent by definition and short-circuits the
 // retries.
 func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
+	err := s.retry(isFull, func() error {
 		if c.f == nil {
 			if err := s.openSegmentLocked(c); err != nil {
-				lastErr = err
 				s.walErrs.Add(1)
-				if isFull(err) {
-					break
-				}
-				continue
+				return err
 			}
 		}
 		n, err := c.f.Write(frame)
 		if err == nil && n == len(frame) {
-			if len(c.ring) > 0 {
-				c.ring[c.frames%len(c.ring)] = frameLoc{off: c.size, n: int32(n)}
-			}
+			c.ring[c.frames%len(c.ring)] = frameLoc{off: c.size, n: int32(n)}
 			c.size += int64(n)
 			c.frames++
 			return nil
@@ -554,14 +525,14 @@ func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
 		if err == nil {
 			err = io.ErrShortWrite
 		}
-		lastErr = err
 		s.walErrs.Add(1)
 		s.sealLocked(c)
-		if isFull(err) {
-			break
-		}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("durable: wal append: %w", err)
 	}
-	return fmt.Errorf("durable: wal append: %w", lastErr)
+	return nil
 }
 
 // append writes one framed record to the chain at index ci.
@@ -658,61 +629,26 @@ func (s *Store) AppendShed(sw uint64, n uint32) error {
 // attempt rewrites from scratch, so a torn attempt can't survive into the
 // final content.
 func (s *Store) writeFileRetry(path string, data []byte) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		err := s.fsys.WriteFile(path, data, 0o644)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if isFull(err) {
-			break
-		}
-	}
-	return lastErr
+	return s.retry(isFull, func() error { return s.fsys.WriteFile(path, data, 0o644) })
 }
 
 func (s *Store) renameRetry(oldpath, newpath string) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		err := s.fsys.Rename(oldpath, newpath)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	return lastErr
+	return s.retry(nil, func() error { return s.fsys.Rename(oldpath, newpath) })
 }
 
 func (s *Store) readFileRetry(path string) ([]byte, error) {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		buf, err := s.fsys.ReadFile(path)
-		if err == nil {
-			return buf, nil
-		}
-		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, err
-		}
-		lastErr = err
+	var buf []byte
+	err := s.retry(isNotExist, func() (err error) {
+		buf, err = s.fsys.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return buf, nil
 }
+
+func isNotExist(err error) bool { return errors.Is(err, iofs.ErrNotExist) }
 
 // Checkpoint atomically replaces the checkpoint file with snap and
 // deletes the segments it supersedes. snap.ThroughLSN is stamped with the
@@ -986,7 +922,7 @@ func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 func (s *Store) Scrub() (corrupt int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead || s.scrubDepth == 0 {
+	if s.dead {
 		return 0, nil
 	}
 	// A fenced writer must not quarantine files the new term-holder is

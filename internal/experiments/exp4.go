@@ -71,13 +71,29 @@ func RunExp4(sc Scale) Exp4Result {
 		if err != nil {
 			panic(fmt.Sprintf("exp4: %v", err))
 		}
-		d.RunFor(pkts, sc.Duration)
+		// A sub-window's breakdown lives in its controller record, which
+		// O5 retires with the window: read each measured sub-window's
+		// times right after the boundary that finished it.
+		first, last := uint64(sc.WindowSub), uint64(2*sc.WindowSub-1)
+		times := make(map[uint64]controller.OpTimes, sc.WindowSub)
+		next := first
+		read := func() {
+			lf, ok := d.Controller().LastFinished()
+			for ; ok && next <= lf && next <= last; next++ {
+				times[next] = d.Controller().Times(next)
+			}
+		}
+		for i := range pkts {
+			d.ProcessPacket(&pkts[i])
+			read()
+		}
+		d.RunFor(nil, sc.Duration)
+		read()
 
 		var rows []Exp4Row
 		var sum controller.OpTimes
 		for i := 0; i < sc.WindowSub; i++ {
-			sw := uint64(sc.WindowSub + i)
-			ts := d.Controller().Times(sw)
+			ts := times[first+uint64(i)]
 			rows = append(rows, Exp4Row{Mechanism: name, SubWindow: fmt.Sprintf("sw%d", i+1), Times: ts})
 			sum.Collect += ts.Collect
 			sum.Insert += ts.Insert

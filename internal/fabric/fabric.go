@@ -690,7 +690,7 @@ func (f *Fabric) mergeWindow(start, end uint64, get func(i int) (controller.Wind
 	for _, idx := range w.DegradedSwitches {
 		for _, g := range f.allGaps(idx) {
 			if g.From <= end && g.To >= start {
-				w.Gaps = append(w.Gaps, CoverageGap{Switch: idx, From: maxU64(g.From, start), To: minU64(g.To, end)})
+				w.Gaps = append(w.Gaps, CoverageGap{Switch: idx, From: max(g.From, start), To: min(g.To, end)})
 			}
 		}
 	}
@@ -709,7 +709,7 @@ func (f *Fabric) mergeWindow(start, end uint64, get func(i int) (controller.Wind
 			w.Detected = append(w.Detected, k)
 		}
 	}
-	sort.Slice(w.Detected, func(i, j int) bool { return keyLess(w.Detected[i], w.Detected[j]) })
+	sort.Slice(w.Detected, func(i, j int) bool { return w.Detected[i].Less(w.Detected[j]) })
 	return w
 }
 
@@ -732,34 +732,4 @@ func (f *Fabric) allGaps(i int) []CoverageGap {
 		return n.gaps
 	}
 	return append(append([]CoverageGap(nil), n.gaps...), CoverageGap{Switch: i, From: n.gapFrom, To: f.fabricSW})
-}
-
-func keyLess(a, b packet.FlowKey) bool {
-	if a.SrcIP != b.SrcIP {
-		return a.SrcIP < b.SrcIP
-	}
-	if a.DstIP != b.DstIP {
-		return a.DstIP < b.DstIP
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

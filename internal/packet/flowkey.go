@@ -99,6 +99,24 @@ func (k FlowKey) IsZero() bool {
 	return k == FlowKey{}
 }
 
+// Less orders flow keys by (SrcIP, DstIP, SrcPort, DstPort, Proto): the
+// one deterministic key order every emitted key list and snapshot uses.
+func (k FlowKey) Less(o FlowKey) bool {
+	if k.SrcIP != o.SrcIP {
+		return k.SrcIP < o.SrcIP
+	}
+	if k.DstIP != o.DstIP {
+		return k.DstIP < o.DstIP
+	}
+	if k.SrcPort != o.SrcPort {
+		return k.SrcPort < o.SrcPort
+	}
+	if k.DstPort != o.DstPort {
+		return k.DstPort < o.DstPort
+	}
+	return k.Proto < o.Proto
+}
+
 // SrcHostKey collapses the 5-tuple to a source-host key (dst fields
 // zeroed). Several queries (super-spreader, port scan sources) aggregate by
 // source host rather than by full 5-tuple.

@@ -1,5 +1,5 @@
 // Package rdma simulates the RDMA-based collection optimization of §7:
-// switches encapsulate AFRs into RoCEv2 WRITE / Fetch-and-Add requests that
+// switches encapsulate AFRs into RoCEv2 WRITE requests that
 // land directly in a registered controller memory region, bypassing the
 // controller CPU. Hot keys carry cached destination addresses from a
 // switch-side address MAT; cold keys append to a sequentially growing
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"omniwindow/internal/afr"
 	"omniwindow/internal/packet"
 )
 
@@ -103,7 +102,6 @@ type NIC struct {
 	psn uint32
 
 	Writes     int
-	FetchAdds  int
 	Appends    int
 	Sequential bool
 }
@@ -125,18 +123,6 @@ func (n *NIC) Write(addr int, value uint64) error {
 	n.mr.slots[addr] = value
 	n.Writes++
 	return nil
-}
-
-// FetchAdd executes an RDMA Fetch-and-Add, returning the previous value.
-func (n *NIC) FetchAdd(addr int, delta uint64) (uint64, error) {
-	n.psn++
-	if addr < 0 || addr >= len(n.mr.slots) {
-		return 0, fmt.Errorf("rdma: FETCH_ADD to invalid address %d", addr)
-	}
-	old := n.mr.slots[addr]
-	n.mr.slots[addr] = old + delta
-	n.FetchAdds++
-	return old, nil
 }
 
 // Append writes a cold-key AFR to the sequential buffer. The switch
@@ -196,49 +182,3 @@ func (m *AddressMAT) Lookup(k packet.FlowKey) (base int, ok bool) {
 
 // Len returns the number of installed entries.
 func (m *AddressMAT) Len() int { return len(m.m) }
-
-// Collector is the switch-side RDMA request constructor: for each AFR it
-// either aggregates into the hot row (Fetch-and-Add for frequency-like
-// statistics, WRITE into the sub-window lane otherwise) or appends to the
-// cold buffer.
-type Collector struct {
-	mat *AddressMAT
-	nic *NIC
-}
-
-// NewCollector wires the address MAT to the RNIC.
-func NewCollector(mat *AddressMAT, nic *NIC) *Collector {
-	return &Collector{mat: mat, nic: nic}
-}
-
-// Send transmits one AFR. hot reports whether the fast path was used.
-func (c *Collector) Send(rec packet.AFR, kind afr.Kind) (hot bool, err error) {
-	base, ok := c.mat.Lookup(rec.Key)
-	if !ok {
-		return false, c.nic.Append(rec)
-	}
-	lane := int(rec.SubWindow) % c.nic.mr.Lanes()
-	switch kind {
-	case afr.Frequency:
-		// Offload the sum to the RNIC: one Fetch-and-Add into lane 0.
-		_, err = c.nic.FetchAdd(base, rec.Attr)
-	default:
-		// Group per-sub-window attributes by key for controller-side
-		// merging of non-summable statistics.
-		err = c.nic.Write(base+lane, rec.Attr)
-	}
-	return true, err
-}
-
-// SendGrouped transmits one AFR, always WRITE-ing into the key's
-// per-sub-window lane. Deployments that let the controller own merging
-// (so sliding windows can evict sub-windows) use this instead of the
-// Fetch-and-Add aggregation.
-func (c *Collector) SendGrouped(rec packet.AFR) (hot bool, err error) {
-	base, ok := c.mat.Lookup(rec.Key)
-	if !ok {
-		return false, c.nic.Append(rec)
-	}
-	lane := int(rec.SubWindow) % c.nic.mr.Lanes()
-	return true, c.nic.Write(base+lane, rec.Attr)
-}

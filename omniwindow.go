@@ -207,19 +207,6 @@ type Config struct {
 	// negative disables retries — the first fault degrades immediately.
 	// Requires CheckpointDir.
 	DurabilityRetryLimit int
-	// DurabilityRetryBackoff is the initial wait between disk retries,
-	// doubling up to DurabilityRetryMaxBackoff; the waits are virtual
-	// time charged to the C&R budget, never slept. Zero values use the
-	// durable defaults (1 ms / 50 ms). Require CheckpointDir.
-	DurabilityRetryBackoff    time.Duration
-	DurabilityRetryMaxBackoff time.Duration
-	// ScrubDepth is how many recent WAL frames per chain the boundary
-	// scrubber re-reads and CRC-verifies, catching bit rot while the
-	// live state still covers the damaged records (a corrupt frame
-	// quarantines its segment and forces a checkpoint at zero loss).
-	// 0 uses the default (64); negative disables scrubbing. Requires
-	// CheckpointDir.
-	ScrubDepth int
 
 	// MaxQueueDepth bounds the network collector's ingest queue when this
 	// config is served over UDP (see CollectorConfig); <= 0 uses the
@@ -482,11 +469,6 @@ type Deployment struct {
 	// stale-epoch stamp is ever monitored and spikes are copied once.
 	decisionHook func(p *packet.Packet, r window.Result)
 
-	// testAFRLoss, when set, drops the i-th AFR packet before delivery —
-	// a fault-injection hook for exercising the reliability protocol.
-	testAFRLoss func(i int) bool
-	afrPktCount int
-
 	// Hot-path staging scratch, reused across deliveries so steady-state
 	// ingest and WAL grouping allocate nothing (see durability.go logBatch
 	// and deployment.go ingestByApp). Deliveries are single-threaded per
@@ -541,19 +523,12 @@ func New(cfg Config) (*Deployment, error) {
 		}
 	}
 	if cfg.CheckpointDir == "" {
-		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 ||
-			cfg.DurabilityRetryBackoff != 0 || cfg.DurabilityRetryMaxBackoff != 0 || cfg.ScrubDepth != 0 {
-			return nil, fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetry*/ScrubDepth require CheckpointDir — there is no durable store to apply them to")
+		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 {
+			return nil, fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetryLimit require CheckpointDir — there is no durable store to apply them to")
 		}
 	}
 	if cfg.WALSegmentBytes < 0 {
 		return nil, fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
-	}
-	if cfg.DurabilityRetryBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: DurabilityRetryBackoff must be non-negative, got %v (use DurabilityRetryLimit < 0 to disable retries)", cfg.DurabilityRetryBackoff)
-	}
-	if cfg.DurabilityRetryMaxBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: DurabilityRetryMaxBackoff must be non-negative, got %v", cfg.DurabilityRetryMaxBackoff)
 	}
 	if cfg.Standby {
 		if cfg.CheckpointDir == "" {
@@ -732,11 +707,8 @@ func (d *Deployment) openDurability() error {
 	cfg := &d.cfg
 	d.ckptShards = d.ctrl.Shards()
 	opts := durable.Options{
-		SegmentBytes:    cfg.WALSegmentBytes,
-		RetryLimit:      cfg.DurabilityRetryLimit,
-		RetryBackoff:    cfg.DurabilityRetryBackoff,
-		RetryMaxBackoff: cfg.DurabilityRetryMaxBackoff,
-		ScrubDepth:      cfg.ScrubDepth,
+		SegmentBytes: cfg.WALSegmentBytes,
+		RetryLimit:   cfg.DurabilityRetryLimit,
 	}
 	if cfg.DiskFaults != nil {
 		opts.FS = durable.NewFaultFS(durable.OSFS{}, cfg.DiskFaults)

@@ -241,16 +241,15 @@ func TestRDMAModeMatchesPacketMode(t *testing.T) {
 }
 
 func TestReliabilityRetransmission(t *testing.T) {
-	// Drop some AFR packets between switch and controller; the sequence
-	// check must recover them.
+	// Drop AFR packets between switch and controller on a seeded
+	// schedule (seed 1, a third of all packets); the sequence check
+	// must recover them.
 	cfg := freqConfig(window.Tumbling(1), 1, false)
+	cfg.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 1.0 / 3})
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Intercept: wrap deliverAFRs by dropping every 3rd AFR packet. We
-	// simulate loss by removing records before delivery.
-	d.testAFRLoss = func(i int) bool { return i%3 == 0 }
 	pkts := burstTrace(map[int64][]int{50 * ms: {1, 2, 3, 4, 5, 6}}, 5)
 	results := d.RunFor(pkts, 100*ms)
 	if d.Stats().Retransmitted == 0 {
