@@ -150,8 +150,8 @@ bench: bench-json
 # BENCH_PR10.json for cross-PR diffing (BENCH_PR4, PR6, PR7, PR8 and PR9
 # snapshots are kept for comparison). The ingest, WAL-append and
 # fenced-append benchmarks carry 0 allocs/op baselines, so the compare
-# gate pins them at zero: any new steady-state allocation on a pooled or
-# fencing hot path fails bench-diff.
+# gate pins them at zero: any new steady-state allocation on an ingest,
+# WAL-append or fencing hot path fails bench-diff.
 BENCH_PATTERN = BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
 
 bench-json:

@@ -274,7 +274,7 @@ func benchBase(n int) []packet.AFR {
 // BenchmarkControllerIngestBatch measures the steady-state batched ingest
 // path alone — one IngestAFRs call per iteration, sub-window assembly
 // excluded via StopTimer — at several batch sizes. Run with -benchmem:
-// the pooled steady state must sit at ~0 allocs/op, which the CI
+// the steady state must sit at ~0 allocs/op, which the CI
 // bench-regression gate pins against the checked-in baseline.
 func BenchmarkControllerIngestBatch(b *testing.B) {
 	const flowsPerSW = 1 << 16
@@ -283,12 +283,18 @@ func BenchmarkControllerIngestBatch(b *testing.B) {
 			ctrl := controller.New(controller.Config{
 				Plan: window.Tumbling(1), Kind: afr.Frequency,
 				Threshold: flowsPerSW + 1, Shards: runtime.GOMAXPROCS(0),
-				ExpectedFlows: flowsPerSW,
 			})
 			recs := benchBase(flowsPerSW)
+			// One finished warm-up sub-window leaves each shard a spare
+			// pending slice sized by its cardinality: the steady state.
+			ctrl.IngestAFRs(recs)
+			ctrl.FinishSubWindow(0)
+			for j := range recs {
+				recs[j].SubWindow = 1
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			at, sw := 0, uint64(0)
+			at, sw := 0, uint64(1)
 			for i := 0; i < b.N; i++ {
 				end := at + batch
 				if end > flowsPerSW {
@@ -318,7 +324,7 @@ func BenchmarkControllerIngestBatch(b *testing.B) {
 // BenchmarkCollectorDecodeIngest measures the collector worker loop body:
 // wire-decode one MTU-sized AFR frame into a long-lived packet, then
 // batched controller ingest — the per-datagram cost of the UDP path. Run
-// with -benchmem: the pooled steady state must sit at ~0 allocs/op.
+// with -benchmem: the steady state must sit at ~0 allocs/op.
 func BenchmarkCollectorDecodeIngest(b *testing.B) {
 	const (
 		batch    = wire.MaxAFRsPerDatagram
@@ -328,7 +334,6 @@ func BenchmarkCollectorDecodeIngest(b *testing.B) {
 	ctrl := controller.New(controller.Config{
 		Plan: window.Tumbling(1), Kind: afr.Frequency,
 		Threshold: flowsPSW + 1, Shards: runtime.GOMAXPROCS(0),
-		ExpectedFlows: flowsPSW,
 	})
 	recs := benchBase(flowsPSW)
 	frames := make([][]byte, nFrames)
@@ -345,9 +350,22 @@ func BenchmarkCollectorDecodeIngest(b *testing.B) {
 	}
 	encode()
 	var p packet.Packet
+	// One finished warm-up sub-window leaves each shard a spare pending
+	// slice sized by its cardinality: the steady state.
+	for _, f := range frames {
+		if err := wire.DecodeInto(&p, f); err != nil {
+			b.Fatal(err)
+		}
+		ctrl.Receive(&p)
+	}
+	ctrl.FinishSubWindow(0)
+	for j := range recs {
+		recs[j].SubWindow = 1
+	}
+	encode()
 	b.ReportAllocs()
 	b.ResetTimer()
-	fi, sw := 0, uint64(0)
+	fi, sw := 0, uint64(1)
 	for i := 0; i < b.N; i++ {
 		if err := wire.DecodeInto(&p, frames[fi]); err != nil {
 			b.Fatal(err)

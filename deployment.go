@@ -414,7 +414,7 @@ func (d *Deployment) collect(sw uint64) {
 		// gaps are NACKed into the transport's replay window instead of
 		// re-queried from the switch.
 		if !d.cfg.RDMA {
-			rec := controller.RecoverSubWindow(d.retryPolicy(),
+			virtual += d.recoverGaps(sw,
 				func() []uint32 { return d.ctrl.MissingSeqs(sw) },
 				func(seqs []uint32) error {
 					for _, rp := range d.engine.RetransmitPackets(seqs) {
@@ -423,16 +423,7 @@ func (d *Deployment) collect(sw uint64) {
 						d.deliverAFRs(rp)
 					}
 					return nil
-				},
-				func(wait time.Duration) { virtual += wait },
-			)
-			d.stats.RecoveryRounds += rec.Rounds
-			if rec.Rounds > 0 {
-				d.obs.ring.Record(obs.StageRecovered, sw, -1, int64(rec.Rounds))
-			}
-			if !rec.Complete && len(rec.Missing) > 0 {
-				d.stats.IncompleteSubWindows++
-			}
+				})
 		}
 
 		// Phase 4 — in-switch reset: the parked collection packets are
@@ -470,21 +461,11 @@ func (d *Deployment) collect(sw uint64) {
 			d.obs.ring.Record(obs.StageQPRecovered, sw, -1, 0)
 		}
 		if d.rdma.State() != rdma.QPError {
-			rec := controller.RecoverSubWindow(d.retryPolicy(),
-				d.rdma.MissingPSNs,
+			virtual += d.recoverGaps(sw, d.rdma.MissingPSNs,
 				func(psns []uint32) error {
 					d.stats.RDMAReplayed += d.rdma.Replay(psns)
 					return nil
-				},
-				func(wait time.Duration) { virtual += wait },
-			)
-			d.stats.RecoveryRounds += rec.Rounds
-			if rec.Rounds > 0 {
-				d.obs.ring.Record(obs.StageRecovered, sw, -1, int64(rec.Rounds))
-			}
-			if !rec.Complete && len(rec.Missing) > 0 {
-				d.stats.IncompleteSubWindows++
-			}
+				})
 		}
 		// Per-key handoff: whatever the replay budget could not land on
 		// the region rides the packet path instead, original sequence
@@ -566,6 +547,23 @@ func (d *Deployment) rdmaIngest(recs []packet.AFR) {
 		d.logBatch(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, AFRs: recs}})
 	}
 	d.ctrl.IngestAFRs(recs)
+}
+
+// recoverGaps runs the bounded NACK/retransmit loop (§8) for sw over a
+// gap scan and its NACK, books the rounds, the recovery trace record and
+// an unrecovered sub-window, and returns the backoff waits' virtual time.
+func (d *Deployment) recoverGaps(sw uint64, missing func() []uint32, nack func([]uint32) error) time.Duration {
+	var waited time.Duration
+	rec := controller.RecoverSubWindow(d.retryPolicy(), missing, nack,
+		func(wait time.Duration) { waited += wait })
+	d.stats.RecoveryRounds += rec.Rounds
+	if rec.Rounds > 0 {
+		d.obs.ring.Record(obs.StageRecovered, sw, -1, int64(rec.Rounds))
+	}
+	if !rec.Complete && len(rec.Missing) > 0 {
+		d.stats.IncompleteSubWindows++
+	}
+	return waited
 }
 
 // retryPolicy resolves the configured reliability knobs against the

@@ -141,6 +141,26 @@ func TestCrashRestartReplaysWAL(t *testing.T) {
 	}
 }
 
+// TestChaosCrashRestartAtCheckpoint completes TestCrashRestartReplaysWAL:
+// with checkpoints every other boundary, a crash at a checkpointed
+// boundary (1 or 3) restores from that checkpoint and the stitched window
+// sequence matches the uncrashed run.
+func TestChaosCrashRestartAtCheckpoint(t *testing.T) {
+	baseline := runChaos(t, nil)
+	if len(baseline.Results()) == 0 {
+		t.Fatal("baseline produced no windows")
+	}
+	for _, at := range []uint64{1, 3} {
+		t.Run(fmt.Sprintf("boundary%d", at), func(t *testing.T) {
+			combined, _ := crashAndRestart(t, t.TempDir(), 2, at)
+			if !reflect.DeepEqual(baseline.Results(), combined) {
+				t.Fatalf("crash at %d (ckpt every 2) not exactly recovered:\nuncrashed: %+v\nstitched:  %+v",
+					at, baseline.Results(), combined)
+			}
+		})
+	}
+}
+
 // TestFailoverStandbyPromotes: with a hot standby, a primary death
 // mid-collection does NOT halt the deployment — the standby waits out the
 // liveness lease, promotes from the checkpoint it tailed at the previous

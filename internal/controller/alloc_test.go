@@ -2,67 +2,65 @@ package controller
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"omniwindow/internal/afr"
 	"omniwindow/internal/packet"
-	"omniwindow/internal/pool"
 	"omniwindow/internal/window"
 	"omniwindow/internal/wire"
 )
 
-// These tests pin the pooled hot path at zero steady-state allocations
-// per operation, mirroring the obs package's no-op pins: once the pool
-// classes, shard pending slices, dedup bitset and ingest scratch are
-// warm, decoding a frame and ingesting its records must produce no
-// garbage at all. A regression here is a GC-pressure regression
-// proportional to traffic, which is exactly what the pooling layer
-// exists to prevent.
+// These tests pin the ingest hot path at zero steady-state allocations
+// per operation, mirroring the obs package's no-op pins: once the shard
+// pending slices, dedup bitset and ingest scratch are warm, decoding a
+// frame and ingesting its records must produce no garbage at all. A
+// regression here is a GC-pressure regression proportional to traffic.
 //
-// Priming strategy: pool size classes are powers of two, so one large
-// batch on the measured sub-window leaves every shard's pending slice
-// with append slack far beyond what the measured runs add, and one high
-// sequence number sizes the dedup bitset so measured (lower) sequences
-// never grow its word array. testing.AllocsPerRun's own warm-up call
-// covers the remaining first-touch map entries.
+// Priming strategy: one large batch on a warm-up sub-window, finished,
+// leaves every shard a spare pending slice far larger than the measured
+// runs fill; one high sequence number then opens the measured sub-window
+// and sizes its dedup bitset, so measured (lower) sequences never grow its
+// word array. testing.AllocsPerRun's own warm-up call covers the
+// remaining first-touch map entries.
 
-// allocPrime floods the controller with one large distinct-seq batch on
-// sub-window 0, pre-sizing shard pending slices and the dedup bitset.
-// Primed seqs live in [primeBase, primeBase+n); measured seqs must stay
-// below primeBase.
-const allocPrimeBase = 1 << 20
+// allocSW is the measured sub-window; allocPrime finishes the one before.
+// Measured seqs must stay below allocPrimeBase.
+const (
+	allocSW        = 1
+	allocPrimeBase = 1 << 20
+)
 
 func allocPrime(c *Controller, n int) {
 	recs := make([]packet.AFR, n)
 	for i := range recs {
-		recs[i] = packet.AFR{Key: fk(i), SubWindow: 0, Attr: 1, Seq: uint32(allocPrimeBase + i)}
+		recs[i] = packet.AFR{Key: fk(i), SubWindow: allocSW - 1, Attr: 1, Seq: uint32(allocPrimeBase + i)}
 	}
 	c.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, AFRs: recs}})
+	c.FinishSubWindow(allocSW - 1)
+	c.IngestAFRs([]packet.AFR{{Key: fk(0), SubWindow: allocSW, Attr: 1, Seq: allocPrimeBase}})
 }
 
 func newAllocController() *Controller {
 	return New(Config{
 		Plan: window.Tumbling(8), Kind: afr.Frequency, Threshold: 1 << 62,
-		Shards: 4, ExpectedFlows: 1 << 16,
+		Shards: 4,
 	})
 }
 
 // TestDecodeIngestZeroAlloc pins the full collector worker loop body —
 // wire.DecodeInto into a long-lived packet, then Controller.Receive — at
-// zero allocations per frame in the pooled steady state.
+// zero allocations per frame in the steady state.
 func TestDecodeIngestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	pool.SetEnabled(true)
-	t.Cleanup(func() { pool.SetEnabled(true) })
-
 	const (
 		batch = 16
 		runs  = 500
 	)
 	c := newAllocController()
-	allocPrime(c, 72_000) // ~18k/shard -> 32k-cap pending slices
+	allocPrime(c, 72_000) // ~18k/shard spares
 
 	// Pre-encode one frame per run, each with fresh sequence numbers (all
 	// below the primed range) so every measured record takes the admit
@@ -72,7 +70,7 @@ func TestDecodeIngestZeroAlloc(t *testing.T) {
 	for i := range frames {
 		recs := make([]packet.AFR, batch)
 		for j := range recs {
-			recs[j] = packet.AFR{Key: fk(int(seq)), SubWindow: 0, Attr: 1, Seq: seq}
+			recs[j] = packet.AFR{Key: fk(int(seq)), SubWindow: allocSW, Attr: 1, Seq: seq}
 			seq++
 		}
 		enc, err := wire.Encode(nil, &packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, AFRs: recs}})
@@ -102,14 +100,11 @@ func TestDecodeIngestZeroAlloc(t *testing.T) {
 }
 
 // TestIngestAFRsZeroAlloc pins the direct (RDMA-path) batch ingest at
-// zero allocations per batch in the pooled steady state.
+// zero allocations per batch in the steady state.
 func TestIngestAFRsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	pool.SetEnabled(true)
-	t.Cleanup(func() { pool.SetEnabled(true) })
-
 	const (
 		batch = 16
 		runs  = 500
@@ -122,7 +117,7 @@ func TestIngestAFRsZeroAlloc(t *testing.T) {
 	for i := range batches {
 		recs := make([]packet.AFR, batch)
 		for j := range recs {
-			recs[j] = packet.AFR{Key: fk(int(seq)), SubWindow: 0, Attr: 1, Seq: seq}
+			recs[j] = packet.AFR{Key: fk(int(seq)), SubWindow: allocSW, Attr: 1, Seq: seq}
 			seq++
 		}
 		batches[i] = recs
@@ -138,10 +133,57 @@ func TestIngestAFRsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNextSubWindowIngestZeroAlloc pins reuse across sub-windows: once a
+// sub-window has been ingested and finished, each shard keeps the pending
+// slice it drained, so ingesting the next sub-window's records — the same
+// flows, hence the same per-shard counts — appends into that memory and
+// allocates nothing after the batch that opens the sub-window.
+func TestNextSubWindowIngestZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	const (
+		flows = 4096
+		batch = 16
+	)
+	c := newAllocController()
+	// Sequences descend, so the batch that opens a sub-window carries its
+	// highest sequence numbers and sizes the dedup bitset at once.
+	batches := func(sw uint64) [][]packet.AFR {
+		var out [][]packet.AFR
+		for at := 0; at < flows; at += batch {
+			recs := make([]packet.AFR, batch)
+			for j := range recs {
+				f := at + j
+				recs[j] = packet.AFR{Key: fk(f), SubWindow: sw, Attr: 1, Seq: uint32(flows - 1 - f)}
+			}
+			out = append(out, recs)
+		}
+		return out
+	}
+	for _, b := range batches(0) {
+		c.IngestAFRs(b)
+	}
+	c.FinishSubWindow(0)
+
+	next := batches(1)
+	c.IngestAFRs(next[0]) // opens sub-window 1's record
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range next[1:] {
+		c.IngestAFRs(b)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("ingesting the next sub-window allocated %d times over %d batches, want 0", n, len(next)-1)
+	}
+}
+
 // TestBatchSizeDifferential: the batched ingest path must be a pure
 // performance change — record-at-a-time, whole-batch, packet-sized
-// chunks, and pooling on vs off all yield identical window results and
-// reliability accounting for the same record stream.
+// chunks all yield identical window results and reliability accounting
+// for the same record stream.
 func TestBatchSizeDifferential(t *testing.T) {
 	const (
 		flows = 500
@@ -157,9 +199,7 @@ func TestBatchSizeDifferential(t *testing.T) {
 		}
 	}
 
-	run := func(pooled bool, chunk int) ([]WindowResult, []string) {
-		pool.SetEnabled(pooled)
-		defer pool.SetEnabled(true)
+	run := func(chunk int) ([]WindowResult, []string) {
 		c := New(Config{
 			Plan: window.Tumbling(2), Kind: afr.Frequency, Threshold: 40,
 			Shards: 4, CaptureValues: true,
@@ -180,23 +220,19 @@ func TestBatchSizeDifferential(t *testing.T) {
 		return out, rels
 	}
 
-	baseRes, baseRel := run(true, len(stream))
+	baseRes, baseRel := run(len(stream))
 	if len(baseRes) == 0 {
 		t.Fatal("baseline produced no windows")
 	}
 	variants := []struct {
-		name   string
-		pooled bool
-		chunk  int
+		name  string
+		chunk int
 	}{
-		{"pooled/chunk=1", true, 1},
-		{"pooled/chunk=32", true, 32},
-		{"unpooled/chunk=1", false, 1},
-		{"unpooled/chunk=32", false, 32},
-		{"unpooled/whole", false, len(stream)},
+		{"chunk=1", 1},
+		{"chunk=32", 32},
 	}
 	for _, v := range variants {
-		res, rel := run(v.pooled, v.chunk)
+		res, rel := run(v.chunk)
 		if err := windowsEqual(baseRes, res); err != nil {
 			t.Fatalf("%s diverged from baseline: %v", v.name, err)
 		}

@@ -28,7 +28,6 @@ import (
 	"omniwindow/internal/metrics"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
-	"omniwindow/internal/pool"
 	"omniwindow/internal/window"
 )
 
@@ -58,11 +57,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 preserves the exact sequential behaviour
 	// (no worker goroutines are spawned).
 	Shards int
-	// ExpectedFlows hints the per-sub-window flow population, pre-sizing
-	// each shard's key-value table and its first pending batch so the
-	// warm-up ramp does not rehash/regrow under load. 0 means unknown
-	// (tables start empty and size on demand); it never bounds anything.
-	ExpectedFlows int
 }
 
 // contrib is one sub-window's contribution to a flow.
@@ -87,20 +81,19 @@ type entry struct {
 type shard struct {
 	mu    sync.Mutex
 	table map[packet.FlowKey]*entry
-	// prevCard is the record count the last finished sub-window drained
-	// from this shard. A new sub-window's pending slice is pre-sized from
-	// it (steady traffic repeats its cardinality), so appends stay within
-	// one pool-classed allocation instead of regrowing per batch.
-	prevCard int
+	// spare is the pending slice the last finished sub-window drained
+	// from this shard, emptied. The next sub-window to route records here
+	// appends into it, so steady traffic (which repeats its cardinality)
+	// reuses one backing array instead of regrowing it per sub-window.
+	spare []packet.AFR
 }
 
-// appendPending appends recs to shard i's pending slice of sw, taking the
-// slice from the pool pre-sized to max(len(recs), prevCard) on first use.
-// Caller holds s.mu.
+// appendPending appends recs to shard i's pending slice of sw, starting
+// from the shard's spare on first use. Caller holds s.mu.
 func (s *shard) appendPending(sw *subWindow, i int, recs ...packet.AFR) {
 	p := sw.pending[i]
 	if p == nil {
-		p = pool.GetAFRs(max(len(recs), s.prevCard))
+		p, s.spare = s.spare, nil
 	}
 	sw.pending[i] = append(p, recs...)
 }
@@ -366,15 +359,8 @@ func NewWithError(cfg Config) (*Controller, error) {
 		shards: make([]*shard, cfg.Shards),
 		subs:   make(map[uint64]*subWindow),
 	}
-	perShard := 0
-	if cfg.ExpectedFlows > 0 {
-		perShard = cfg.ExpectedFlows / cfg.Shards
-	}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			table:    make(map[packet.FlowKey]*entry, perShard),
-			prevCard: perShard,
-		}
+		c.shards[i] = &shard{table: make(map[packet.FlowKey]*entry)}
 	}
 	return c, nil
 }
@@ -866,10 +852,12 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		o23s[i].merge = time.Since(start)
 
 		// The drained slice's job is done (contributions were copied into
-		// table entries): remember its cardinality to pre-size the next
-		// sub-window, then recycle it.
-		s.prevCard = len(recs)
-		pool.PutAFRs(recs)
+		// table entries): it becomes the shard's spare for the next
+		// sub-window. A shard this sub-window left untouched keeps its
+		// spare.
+		if recs != nil {
+			s.spare = recs[:0]
+		}
 	})
 
 	var o2sum, o3sum time.Duration

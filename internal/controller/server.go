@@ -7,128 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"omniwindow/internal/metrics"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
-	"omniwindow/internal/pool"
 	"omniwindow/internal/wire"
-)
-
-// Async guards a Controller for shared use by a network collector and the
-// window-assembly driver. The controller itself is safe for concurrent use
-// (ingest fans out to hash-partitioned shards), so unlike the earlier
-// command-loop design, Receive/IngestAFRs calls from many collector
-// goroutines proceed in parallel rather than serializing behind a single
-// owner goroutine — the concurrent analogue of the paper's multi-core
-// DPDK RX path. Async only adds a closed gate so late packets after Close
-// are dropped instead of touching retired state.
-type Async struct {
-	mu     sync.RWMutex
-	closed bool
-	ctrl   *Controller
-}
-
-// NewAsync wraps ctrl. The caller must not use ctrl directly afterwards.
-func NewAsync(ctrl *Controller) *Async {
-	return &Async{ctrl: ctrl}
-}
-
-// Receive ingests a switch-to-controller packet (O1); concurrent-safe.
-func (a *Async) Receive(p *packet.Packet) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.Receive(p)
-}
-
-// IngestAFRs ingests direct records (the RDMA path); concurrent-safe.
-func (a *Async) IngestAFRs(recs []packet.AFR) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.IngestAFRs(recs)
-}
-
-// FinishSubWindow runs window assembly and returns the completed windows.
-func (a *Async) FinishSubWindow(sw uint64) []WindowResult {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return nil
-	}
-	return a.ctrl.FinishSubWindow(sw)
-}
-
-// MissingSeqs queries the reliability state.
-func (a *Async) MissingSeqs(sw uint64) []uint32 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return nil
-	}
-	return a.ctrl.MissingSeqs(sw)
-}
-
-// Reliability queries a sub-window's delivery accounting.
-func (a *Async) Reliability(sw uint64) metrics.Reliability {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return metrics.Reliability{Expected: -1}
-	}
-	return a.ctrl.Reliability(sw)
-}
-
-// TableSize reports the key-value table size.
-func (a *Async) TableSize() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return 0
-	}
-	return a.ctrl.TableSize()
-}
-
-// NoteShed records admission-control drops against a sub-window's
-// reliability accounting (see Controller.NoteShed).
-func (a *Async) NoteShed(sw uint64, n int) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.NoteShed(sw, n)
-}
-
-// Close rejects all further operations; in-flight calls drain first.
-func (a *Async) Close() {
-	a.mu.Lock()
-	a.closed = true
-	a.mu.Unlock()
-}
-
-// ShedPolicy selects what admission control drops when the ingest queue
-// backs up.
-type ShedPolicy int
-
-const (
-	// ShedRecoverableFirst is the default: above the watermark,
-	// first-transmission AFR datagrams are shed — the reliability
-	// protocol's NACK/retransmit path can bring every one of them back —
-	// while retransmissions (already-recovered data; shedding them risks
-	// exhausting the retry budget) are kept until the queue is hard-full.
-	// Control frames are never queued, so they are never shed.
-	ShedRecoverableFirst ShedPolicy = iota
-	// ShedTailDrop disables the priority tiers: any data frame arriving
-	// at a full queue is dropped, none earlier. This is the legacy
-	// overrun behaviour, kept for comparison runs — but unlike the old
-	// silent discard, drops are still peeked and attributed to their
-	// sub-windows.
-	ShedTailDrop
 )
 
 // CollectorConfig tunes the UDP collector's worker pool and admission
@@ -140,12 +21,15 @@ type CollectorConfig struct {
 	// MaxQueueDepth bounds the raw-datagram queue between the socket
 	// reader and the ingest workers (<= 0 means 4096).
 	MaxQueueDepth int
-	// ShedWatermark is the queue-fill fraction above which the shed
-	// policy starts dropping recoverable datagrams (<= 0 means 0.75;
-	// values >= 1 only shed when hard-full).
+	// ShedWatermark is the queue-fill fraction above which admission
+	// control starts shedding first-transmission datagrams — the
+	// reliability protocol's NACK/retransmit path can bring every one of
+	// them back — while retransmissions (already-recovered data;
+	// shedding them risks exhausting the retry budget) are kept until
+	// the queue is hard-full. Control frames are never queued, so they
+	// are never shed. <= 0 means 0.75; values >= 1 only shed when
+	// hard-full (tail drop).
 	ShedWatermark float64
-	// Policy selects what to shed under pressure.
-	Policy ShedPolicy
 	// OnClose, when set, runs after the reader has exited and every
 	// ingest worker has drained, before Close returns — the hook for
 	// flushing a WAL segment or final accounting exactly once, after the
@@ -167,14 +51,18 @@ type CollectorConfig struct {
 // under pressure are first header-peeked so the drop is charged to the
 // right sub-window's reliability accounting — the C&R driver then NACKs
 // the gap and the retransmit path recovers the shed records.
+//
+// The Controller is safe for concurrent use, so the workers call it
+// directly; Close returns only after the reader and every worker have
+// stopped, so nothing reaches the controller from this collector after.
 type Collector struct {
 	conn      net.PacketConn
-	sink      *Async
+	sink      *Controller
 	readWG    sync.WaitGroup
 	workWG    sync.WaitGroup
 	queue     chan []byte
+	free      chan []byte
 	watermark int
-	policy    ShedPolicy
 	onClose   func()
 	drops     atomic.Int64
 	recvd     atomic.Int64
@@ -185,19 +73,13 @@ type Collector struct {
 
 // NewCollector starts serving datagrams from conn into sink with one
 // ingest worker per core. Close the conn (or call Close) to stop.
-func NewCollector(conn net.PacketConn, sink *Async) *Collector {
+func NewCollector(conn net.PacketConn, sink *Controller) *Collector {
 	return NewCollectorConfig(conn, sink, CollectorConfig{})
-}
-
-// NewCollectorWorkers starts serving datagrams with the given number of
-// concurrent ingest workers (at least one).
-func NewCollectorWorkers(conn net.PacketConn, sink *Async, workers int) *Collector {
-	return NewCollectorConfig(conn, sink, CollectorConfig{Workers: workers})
 }
 
 // NewCollectorConfig starts serving datagrams with explicit worker-pool
 // and admission-control settings.
-func NewCollectorConfig(conn net.PacketConn, sink *Async, cfg CollectorConfig) *Collector {
+func NewCollectorConfig(conn net.PacketConn, sink *Controller, cfg CollectorConfig) *Collector {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 		if cfg.Workers < 1 {
@@ -218,8 +100,8 @@ func NewCollectorConfig(conn net.PacketConn, sink *Async, cfg CollectorConfig) *
 		conn:      conn,
 		sink:      sink,
 		queue:     make(chan []byte, cfg.MaxQueueDepth),
+		free:      make(chan []byte, maxFreeBufs),
 		watermark: wm,
-		policy:    cfg.Policy,
 		onClose:   cfg.OnClose,
 	}
 	c.readWG.Add(1)
@@ -240,11 +122,12 @@ func (c *Collector) Addr() net.Addr { return c.conn.LocalAddr() }
 // sub-window), data frames are queued for the workers or shed per the
 // admission policy.
 //
-// Datagram copies come from internal/pool and are owned by exactly one
-// stage at a time: the reader until the queue send, then the ingest worker
-// that decodes and releases them. Shed or inline-handled datagrams are
-// released here. The triage itself uses the allocation-free PeekFlag; the
-// full (map-building) PeekDatagram runs only on the shed path.
+// Datagram copies come from the collector's free list and are owned by
+// exactly one stage at a time: the reader until the queue send, then the
+// ingest worker that decodes and releases them. Shed or inline-handled
+// datagrams are released here. The triage itself uses the
+// allocation-free PeekFlag; the full (map-building) PeekDatagram runs
+// only on the shed path.
 func (c *Collector) readLoop() {
 	defer c.readWG.Done()
 	defer close(c.queue)
@@ -258,27 +141,25 @@ func (c *Collector) readLoop() {
 			}
 			continue
 		}
-		d := pool.GetBuf(n)
+		d := c.getBuf(n)
 		copy(d, scratch[:n])
 
 		flag, peeked := wire.PeekFlag(d)
 		if peeked && flag != packet.OWAFR && flag != packet.OWRetransmit {
 			// Control frame: full CRC-checked decode, delivered inline.
 			// Receive copies what it keeps, so the reused packet and the
-			// pooled buffer are both free again afterwards.
+			// datagram buffer are both free again afterwards.
 			if err := wire.DecodeInto(&ctl, d); err == nil {
 				c.sink.Receive(&ctl)
 				c.recvd.Add(1)
 			} else {
 				c.drops.Add(1)
 			}
-			pool.PutBuf(d)
+			c.putBuf(d)
 			continue
 		}
 
-		depth := len(c.queue)
-		if c.policy == ShedRecoverableFirst && depth >= c.watermark &&
-			(!peeked || flag == packet.OWAFR) {
+		if len(c.queue) >= c.watermark && (!peeked || flag == packet.OWAFR) {
 			// Above the watermark: shed recoverable first transmissions
 			// (and unpeekable garbage) to keep room for retransmissions.
 			c.shedData(d)
@@ -300,7 +181,32 @@ func (c *Collector) readLoop() {
 func (c *Collector) shedData(d []byte) {
 	pk, peeked := wire.PeekDatagram(d)
 	c.shed(pk, peeked)
-	pool.PutBuf(d)
+	c.putBuf(d)
+}
+
+// maxFreeBufs bounds the collector's datagram free list, so a burst
+// cannot pin more than that many buffers once it has drained.
+const maxFreeBufs = 256
+
+// getBuf returns a datagram buffer of length n, reusing a released one
+// when its capacity fits.
+func (c *Collector) getBuf(n int) []byte {
+	select {
+	case b := <-c.free:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n)
+}
+
+// putBuf releases d for reuse. The caller must not touch d afterwards.
+func (c *Collector) putBuf(d []byte) {
+	select {
+	case c.free <- d:
+	default: // free list full: the GC takes it
+	}
 }
 
 // shed records one dropped data frame: the overrun counter always, and —
@@ -333,7 +239,7 @@ func (c *Collector) ingestLoop() {
 	var p packet.Packet
 	for d := range c.queue {
 		err := wire.DecodeInto(&p, d)
-		pool.PutBuf(d) // the frame is parsed (or rejected); release either way
+		c.putBuf(d) // the frame is parsed (or rejected); release either way
 		if err != nil {
 			c.drops.Add(1)
 			continue
@@ -380,9 +286,8 @@ func (c *Collector) Received() int { return int(c.recvd.Load()) }
 // against Recovered. Safe to call while running.
 func (c *Collector) Recovered() int { return int(c.recov.Load()) }
 
-// Overruns reports data datagrams shed by admission control — at the
-// watermark under ShedRecoverableFirst, or only when hard-full under
-// ShedTailDrop. The reliability protocol's retransmission covers them
+// Overruns reports data datagrams shed by admission control — first
+// transmissions at the watermark, anything when hard-full. The reliability protocol's retransmission covers them
 // (§8), and each shed datagram's records are charged to their
 // sub-windows' accounting (see ShedAFRs). Safe to call while running.
 func (c *Collector) Overruns() int { return int(c.overrun.Load()) }
@@ -414,18 +319,13 @@ func (c *Collector) Instrument(reg *obs.Registry, labels string) {
 	reg.GaugeFunc(n("omniwindow_collector_table_size"), "flows resident in the controller key-value table", func() int64 { return int64(c.sink.TableSize()) })
 }
 
-// SendDatagram wire-encodes p into a pooled buffer and sends it to addr
-// over conn — the switch-side transmit helper. WriteTo does not retain its
-// argument (the fault-injecting wrapper copies before parking datagrams
-// for reorder), so the buffer is released as soon as the send returns.
+// SendDatagram wire-encodes p and sends it to addr over conn — the
+// switch-side transmit helper.
 func SendDatagram(conn net.PacketConn, addr net.Addr, p *packet.Packet) error {
-	buf := pool.GetBuf(wire.EncodedSize(p))
-	enc, err := wire.Encode(buf, p)
+	enc, err := wire.Encode(nil, p)
 	if err != nil {
-		pool.PutBuf(buf)
 		return err
 	}
 	_, err = conn.WriteTo(enc, addr)
-	pool.PutBuf(enc)
 	return err
 }

@@ -10,9 +10,10 @@ import (
 	"omniwindow/internal/window"
 )
 
-func TestAsyncSerializesOperations(t *testing.T) {
-	a := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 5, CaptureValues: true}))
-	defer a.Close()
+// TestConcurrentReceiveThenFinish: many goroutines ingesting into one
+// controller at once lose no record.
+func TestConcurrentReceiveThenFinish(t *testing.T) {
+	a := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 5, CaptureValues: true})
 
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -41,28 +42,14 @@ func TestAsyncSerializesOperations(t *testing.T) {
 	}
 }
 
-func TestAsyncAfterCloseIsSafe(t *testing.T) {
-	a := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency}))
-	a.Close()
-	a.Close() // idempotent
-	a.Receive(afrPkt(rec(1, 0, 1, 0)))
-	if got := a.FinishSubWindow(0); got != nil {
-		t.Fatalf("closed async returned %v", got)
-	}
-	if a.MissingSeqs(0) != nil || a.TableSize() != 0 {
-		t.Fatal("closed async returned state")
-	}
-}
-
 func TestCollectorOverUDP(t *testing.T) {
-	// Controller side: UDP listener feeding an Async controller.
+	// Controller side: UDP listener feeding a controller.
 	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 3, CaptureValues: true}))
+	sink := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 3, CaptureValues: true})
 	col := NewCollector(serverConn, sink)
-	defer sink.Close()
 
 	// Switch side: send AFR datagrams plus the trigger.
 	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -10,29 +10,31 @@ import (
 	"omniwindow/internal/window"
 )
 
-// shedHarness is a collector over real loopback UDP with a vanishing shed
-// watermark: watermark 0 means EVERY first-transmission data frame is shed
-// under ShedRecoverableFirst, with no dependency on worker-drain timing —
-// the admission-control paths become fully deterministic.
+// shedHarness is a collector over real loopback UDP with a chosen shed
+// watermark. shedEverything floors the watermark to 0, so EVERY
+// first-transmission data frame is shed with no dependency on worker-drain
+// timing — the admission-control paths become fully deterministic.
 type shedHarness struct {
 	t    *testing.T
-	sink *Async
+	sink *Controller
 	col  *Collector
 	sw   net.PacketConn
 }
 
-func newShedHarness(t *testing.T, policy ShedPolicy) *shedHarness {
+// shedEverything is a watermark that floors to 0 on the harness's queue.
+const shedEverything = 0.001
+
+func newShedHarness(t *testing.T, watermark float64) *shedHarness {
 	t.Helper()
 	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true}))
+	sink := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true})
 	col := NewCollectorConfig(serverConn, sink, CollectorConfig{
 		Workers:       2,
 		MaxQueueDepth: 64,
-		ShedWatermark: 0.001, // floors to 0: shed every recoverable frame
-		Policy:        policy,
+		ShedWatermark: watermark,
 	})
 	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +43,6 @@ func newShedHarness(t *testing.T, policy ShedPolicy) *shedHarness {
 	h := &shedHarness{t: t, sink: sink, col: col, sw: switchConn}
 	t.Cleanup(func() {
 		col.Close()
-		sink.Close()
 		switchConn.Close()
 	})
 	return h
@@ -74,7 +75,7 @@ func (h *shedHarness) wait(what string, cond func() bool) {
 // bring every record back: the window finalizes exact, Shed accounted but
 // not Degraded.
 func TestShedRecoverableFirstRecoversEverything(t *testing.T) {
-	h := newShedHarness(t, ShedRecoverableFirst)
+	h := newShedHarness(t, shedEverything)
 
 	// Control frame: never shed, even at watermark 0.
 	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 3}})
@@ -124,7 +125,7 @@ func TestShedRecoverableFirstRecoversEverything(t *testing.T) {
 // never brings back leave the window both Incomplete (data is missing) and
 // Degraded (the cause was overload, not wire loss).
 func TestShedUnrecoveredMarksDegraded(t *testing.T) {
-	h := newShedHarness(t, ShedRecoverableFirst)
+	h := newShedHarness(t, shedEverything)
 
 	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 2}})
 	h.wait("trigger delivery", func() bool { return h.col.Received() == 1 })
@@ -147,11 +148,11 @@ func TestShedUnrecoveredMarksDegraded(t *testing.T) {
 	}
 }
 
-// TestShedTailDropIgnoresWatermark: the legacy policy sheds only when the
-// queue is hard-full — with a drained queue, the same watermark-0 setup
+// TestShedTailDropIgnoresWatermark: a watermark of 1 sheds only when the
+// queue is hard-full (tail drop) — with a drained queue, the setup
 // ingests every frame and nothing is shed.
 func TestShedTailDropIgnoresWatermark(t *testing.T) {
-	h := newShedHarness(t, ShedTailDrop)
+	h := newShedHarness(t, 1)
 
 	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 8}})
 	for i := 0; i < 8; i++ {

@@ -166,7 +166,7 @@ func TestCRC32CMatchesStdlib(t *testing.T) {
 }
 
 // TestShardZeroAlloc pins per-record shard routing at zero allocations —
-// it runs once per ingested AFR on the controller's pooled hot path.
+// it runs once per ingested AFR on the controller's ingest hot path.
 func TestShardZeroAlloc(t *testing.T) {
 	k := packet.FlowKey{SrcIP: 0x0A0B0C0D, DstIP: 0x01020304, SrcPort: 5555, DstPort: 443, Proto: 6}
 	var sink int

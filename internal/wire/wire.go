@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 
 	"omniwindow/internal/packet"
-	"omniwindow/internal/pool"
 )
 
 // Magic ("OW" in ASCII) and Version identify OmniWindow datagrams.
@@ -121,10 +120,8 @@ func Decode(data []byte) (*packet.Packet, error) {
 // DecodeInto parses a datagram produced by Encode into p, reusing p's
 // slice capacity instead of allocating per frame — the collector's ingest
 // workers decode every datagram into one long-lived packet, so the steady
-// state allocates nothing. AFR capacity grows through internal/pool (the
-// outgrown slice is returned there), so p's AFR backing may be pool-owned:
-// callers must treat p and its slices as reusable scratch, never retain
-// them past the next DecodeInto, and never PutAFRs them directly.
+// state allocates nothing. p's slices are reusable scratch: callers must
+// never retain them past the next DecodeInto.
 //
 // On error p's contents are unspecified; it remains valid scratch for the
 // next call. data is not retained.
@@ -171,8 +168,7 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 	}
 	if nAFR > 0 {
 		if cap(afrs) < nAFR {
-			pool.PutAFRs(afrs)
-			afrs = pool.GetAFRs(nAFR)
+			afrs = make([]packet.AFR, nAFR)
 		}
 		afrs = afrs[:nAFR]
 		for i := 0; i < nAFR; i++ {

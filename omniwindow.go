@@ -65,11 +65,6 @@ type Config struct {
 	// <= 0 defaults to runtime.GOMAXPROCS(0); 1 forces the sequential
 	// controller. Results are identical for every shard count.
 	Shards int
-	// ExpectedFlows hints the number of distinct flows per sub-window, so
-	// controller shard tables and ingest staging are pre-sized instead of
-	// growing through rehashes on the hot path. 0 means no hint; the hint
-	// is advisory only and never changes results.
-	ExpectedFlows int
 	// Preserve is the consistency model's preservation depth (§5): how
 	// many terminated sub-windows stay monitorable so out-of-order packets
 	// can still land in their stamped sub-window. 0 uses the deepest
@@ -207,14 +202,6 @@ type Config struct {
 	// negative disables retries — the first fault degrades immediately.
 	// Requires CheckpointDir.
 	DurabilityRetryLimit int
-
-	// MaxQueueDepth bounds the network collector's ingest queue when this
-	// config is served over UDP (see CollectorConfig); <= 0 uses the
-	// collector default. Negative values are rejected.
-	MaxQueueDepth int
-	// ShedPolicy selects what the network collector's admission control
-	// drops under overload.
-	ShedPolicy controller.ShedPolicy
 
 	// RDMA enables the §7 collection path: AFRs land in registered
 	// controller memory via simulated WRITE verbs, with hot keys cached
@@ -508,9 +495,6 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.RetryMaxBackoff < 0 {
 		return nil, fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
 	}
-	if cfg.MaxQueueDepth < 0 {
-		return nil, fmt.Errorf("omniwindow: MaxQueueDepth must be non-negative, got %d (0 means the collector default)", cfg.MaxQueueDepth)
-	}
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("omniwindow: CheckpointEvery must be non-negative, got %d (0 means every boundary)", cfg.CheckpointEvery)
 	}
@@ -653,7 +637,6 @@ func New(cfg Config) (*Deployment, error) {
 			DistinctCounter: spec.DistinctCounter,
 			CaptureValues:   spec.CaptureValues,
 			Shards:          cfg.Shards,
-			ExpectedFlows:   cfg.ExpectedFlows,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("omniwindow: app %d controller: %w", i, err)
@@ -736,7 +719,6 @@ func (d *Deployment) openDurability() error {
 		DistinctCounter: spec.DistinctCounter,
 		CaptureValues:   spec.CaptureValues,
 		Shards:          cfg.Shards,
-		ExpectedFlows:   cfg.ExpectedFlows,
 	})
 	if err != nil {
 		return fmt.Errorf("omniwindow: standby controller: %w", err)
@@ -752,16 +734,6 @@ func (d *Deployment) openDurability() error {
 	d.lease = durable.NewLease(int64(ttl))
 	d.lease.Renew(0)
 	return nil
-}
-
-// CollectorConfig translates the deployment's overload knobs into the UDP
-// collector's admission-control settings, for callers serving this config
-// over the network (see examples/udpcollector).
-func (c Config) CollectorConfig() controller.CollectorConfig {
-	return controller.CollectorConfig{
-		MaxQueueDepth: c.MaxQueueDepth,
-		Policy:        c.ShedPolicy,
-	}
 }
 
 // Crashed reports whether (and at which sub-window boundary) the

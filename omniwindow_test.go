@@ -74,7 +74,6 @@ func TestConfigValidation(t *testing.T) {
 		{"slot mismatch", func(c *Config) { c.Slots = 100 }}, // app built 4096
 		{"negative retry backoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
 		{"negative retry max backoff", func(c *Config) { c.RetryMaxBackoff = -time.Millisecond }},
-		{"negative queue depth", func(c *Config) { c.MaxQueueDepth = -1 }},
 		{"negative checkpoint cadence", func(c *Config) { c.CheckpointEvery = -1 }},
 		{"checkpoint cadence without directory", func(c *Config) { c.CheckpointEvery = 2 }},
 		{"checkpoint cadence misaligned with slide", func(c *Config) {
